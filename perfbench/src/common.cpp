@@ -20,6 +20,16 @@ double ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
 }  // namespace
 
+rn::core::RouteNetConfig model_config() {
+  rn::core::RouteNetConfig cfg;
+  cfg.link_state_dim = 32;
+  cfg.path_state_dim = 32;
+  cfg.iterations = 8;
+  cfg.readout_hidden = 64;
+  cfg.seed = 7;
+  return cfg;
+}
+
 double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -164,8 +174,13 @@ std::map<std::string, double> layer_metrics(
             sum("routenet.forward_s") + sum("trainer.batch.backward_s"));
   m["ag.arena_fresh_allocs_per_item"] =
       ratio(static_cast<double>(in.fresh_allocs), in.items);
+  // Matmuls whose rows were spread across pool threads. run_rows counts
+  // ag.matmul.parallel_total before parallel_for, which runs inline on a
+  // pool worker (every serve batcher); par.parallel_for_total counts only
+  // loops that actually fanned out. matmul is the only parallel_for caller
+  // in the workloads that run ag.
   m["ag.matmul_parallel_share"] =
-      ratio(count("ag.matmul.parallel_total"), count("ag.matmul.calls_total"));
+      ratio(count("par.parallel_for_total"), count("ag.matmul.calls_total"));
 
   m["par.task_us_p50"] = reg.histogram("par.task_s").quantile(0.5) * 1e6;
   m["par.tasks_per_item"] = ratio(count("par.tasks_total"), in.items);

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/routenet.h"
 #include "obs/trace.h"
 
 namespace perfbench {
@@ -51,6 +52,10 @@ struct RunResult {
   std::map<std::string, double> layers;
   std::vector<SelfTime> self_times;
 };
+
+// The paper's model: 32-wide link and path states, 8 message-passing
+// iterations, a 64-wide readout; fixed initial weights (seed 7).
+rn::core::RouteNetConfig model_config();
 
 // Seconds on the steady clock (arbitrary epoch).
 double now_s();

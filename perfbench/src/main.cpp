@@ -11,6 +11,7 @@
 #include <string>
 
 #include "common.h"
+#include "obs/json.h"
 
 namespace {
 
@@ -30,20 +31,9 @@ std::string num(double v) {
 
 std::string quoted(const std::string& s) {
   std::string out = "\"";
-  for (char ch : s) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (c < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += ch;
-    }
-  }
-  return out + "\"";
+  out += rn::obs::json_escape(s);
+  out += '"';
+  return out;
 }
 
 std::string array(const std::vector<double>& v) {

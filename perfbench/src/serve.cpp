@@ -1,14 +1,16 @@
 // `serve`: an in-process NetServer on loopback (2-wide pool: two batcher
 // workers running kernels inline; batch cap 8, fixed 5 ms deadline) under a
-// closed loop of 4 NetClient connections, one thread each. Clients cycle
-// through a fixed pool of distinct NSFNET and Geant2 scenarios; every
-// response must equal, bit for bit, a local RouteNet::predict of the same
-// scenario. An item is one predict round trip.
+// closed loop of 4 NetClient connections, one thread each, that send the
+// next request as soon as a reply arrives. Clients cycle through a fixed
+// pool of distinct NSFNET and Geant2 scenarios; every response must equal,
+// bit for bit, a local RouteNet::predict of the same scenario. An item is
+// one predict round trip.
 //
 // The traced run adds two ladder rungs below the socket: bare
 // predict_merged on the serve mix, and InferenceServer::submit().get()
 // from the same 4 client threads.
 #include <algorithm>
+#include <barrier>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -41,20 +43,19 @@ constexpr int kClients = 4;
 constexpr int kPoolWidth = 2;
 constexpr int kMaxBatch = 8;
 constexpr int kScenariosPerTopology = 2 * kMaxBatch;
-// Round trips per second of --seconds over all clients: 960 in a 20 s run,
-// which keeps the tail at p90 with ~100 items beyond it (p99 would need
-// 1000 items and rest on 10). The run takes about 15 s on a 4-core x86
-// host.
-constexpr double kRequestsPerSecond = 48.0;
+// Round trips per second of --seconds over all clients: 880 in a 20 s run,
+// which keeps the tail at p90 with 88 items beyond it (p99 would need 1000
+// items and rest on 10). The loop takes about 20 s on a 4-core x86 host.
+constexpr double kRequestsPerSecond = 44.0;
 constexpr int kSetupReps = 3;
-constexpr int kWarmupPerClient = 24;
+constexpr int kWarmupPerClient = 8;
+constexpr int kScatterPerClient = 24;
+constexpr double kMaxScatterS = 0.010;
+constexpr std::uint64_t kScatterSeed = 5;
 constexpr int kLadderCalls = 64;
-// Each client thinks for a uniform [0, kMaxThinkS] pause after a reply, as
-// a what-if tool does between predictions. Without it the clients lock into
-// whichever batch cohorts the first requests formed, and a run's latency
-// depends on that accident.
-constexpr double kMaxThinkS = 0.010;
 constexpr int kWindows = 10;
+// Calls per client between two re-alignments of the clients (closed_loop).
+constexpr int kRoundCalls = 10;
 constexpr char kModel[] = "routenet";
 
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
@@ -64,16 +65,6 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
 
 bool same_bits(const RouteNet::Prediction& a, const RouteNet::Prediction& b) {
   return same_bits(a.delay_s, b.delay_s) && same_bits(a.jitter_s, b.jitter_s);
-}
-
-rn::core::RouteNetConfig model_config() {
-  rn::core::RouteNetConfig cfg;
-  cfg.link_state_dim = 32;
-  cfg.path_state_dim = 32;
-  cfg.iterations = 8;
-  cfg.readout_hidden = 64;
-  cfg.seed = 7;
-  return cfg;
 }
 
 Sample make_scenario(std::shared_ptr<const rn::topo::Topology> topo,
@@ -91,7 +82,6 @@ Sample make_scenario(std::shared_ptr<const rn::topo::Topology> topo,
 // The served model's inputs: a fixed pool of scenarios, the normalizer
 // (fitted on a few simulated NSFNET samples) and the reference answers.
 struct Mix {
-  std::uint64_t seed = 0;  // of the clients' think times
   std::vector<Sample> pool;
   rn::dataset::Normalizer norm;
   std::vector<RouteNet::Prediction> refs;
@@ -99,7 +89,6 @@ struct Mix {
 
 Mix make_mix(std::uint64_t seed, RouteNet& reference) {
   Mix mix;
-  mix.seed = derive_seed(seed, 5);
   const auto nsfnet =
       std::make_shared<const rn::topo::Topology>(rn::topo::nsfnet());
   const auto geant2 =
@@ -177,24 +166,44 @@ struct Loop {
   }
 };
 
-// kClients threads each run `per_client` calls of `call(client, scenario)`,
-// starting together; client c begins at its own offset in the pool and,
-// when `think` is set, thinks between calls.
+// Which scenarios the clients send; the pool alternates NSFNET and Geant2.
+// With kMixed client c starts at c * (n / kClients + 1) and walks the whole
+// pool, so clients in step (every reply of a batch comes back at once) put
+// two scenarios of each topology in every batch. With kGeant2 they walk the
+// Geant2 half only, so every batch has the largest shape four clients can
+// form. kScattered is kMixed with a uniform pause of up to kMaxScatterS
+// after each reply, which keeps the clients out of step: batches of every
+// size and topology mix land on both workers. Only the warm-up uses the
+// last two.
+enum class Order { kMixed, kGeant2, kScattered };
+
+// kClients threads each run `per_client` calls of `call(client, scenario)`
+// back to back, starting together, in `order`. Every kRoundCalls calls the clients wait for each other. Clients in
+// step pass that barrier together, since one batch carries all four
+// requests and all four replies return at once. The barrier only ends a
+// split: a host stall that delays one reply past the batch deadline puts
+// its client into batches of its own, and without the barrier that state
+// lasts for the rest of the run.
 template <typename Call>
-Loop closed_loop(const Mix& mix, int per_client, bool think_time,
-                 Call&& call) {
+Loop closed_loop(const Mix& mix, int per_client, Order order, Call&& call) {
   std::vector<Loop> parts(kClients);
   std::latch start(kClients + 1);
+  std::barrier round(kClients);
   std::vector<std::thread> threads;
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
       Loop& out = parts[static_cast<std::size_t>(c)];
       const std::size_t n = mix.pool.size();
-      rn::Rng think(derive_seed(mix.seed, static_cast<std::uint64_t>(c)));
+      const std::size_t cs = static_cast<std::size_t>(c);
+      rn::Rng pause(derive_seed(kScatterSeed, cs));
       start.arrive_and_wait();
       for (int k = 0; k < per_client; ++k) {
-        const std::size_t idx = (static_cast<std::size_t>(c) * n / kClients +
-                                 static_cast<std::size_t>(k)) % n;
+        if (k > 0 && k % kRoundCalls == 0) round.arrive_and_wait();
+        const std::size_t ks = static_cast<std::size_t>(k);
+        const std::size_t idx =
+            order == Order::kGeant2
+                ? 2 * ((cs * n / (2 * kClients) + ks) % (n / 2)) + 1
+                : (cs * (n / kClients + 1) + ks) % n;
         ++out.attempted;
         const double t0 = now_s();
         try {
@@ -211,9 +220,9 @@ Loop closed_loop(const Mix& mix, int per_client, bool think_time,
           ++out.failed;
           if (out.first_error.empty()) out.first_error = e.what();
         }
-        if (think_time) {
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(think.uniform(0.0, kMaxThinkS)));
+        if (order == Order::kScattered) {
+          std::this_thread::sleep_for(std::chrono::duration<double>(
+              pause.uniform(0.0, kMaxScatterS)));
         }
       }
     });
@@ -229,8 +238,8 @@ Loop closed_loop(const Mix& mix, int per_client, bool think_time,
 }
 
 Loop net_loop(Stack& st, const Mix& mix, int per_client,
-              bool think_time = true) {
-  return closed_loop(mix, per_client, think_time,
+              Order order = Order::kMixed) {
+  return closed_loop(mix, per_client, order,
                      [&st](int c, const Sample& s, Loop& out) {
     rn::serve::NetClient::PredictOutcome o =
         st.clients[static_cast<std::size_t>(c)]->predict_traced(kModel, s);
@@ -287,7 +296,7 @@ double predict_rung_ms(const RouteNet& model, const Mix& mix, RunResult& r) {
 // no socket.
 double inproc_rung_ms(const RouteNet& model, const Mix& mix, RunResult& r) {
   rn::serve::InferenceServer server(model, server_config());
-  const Loop loop = closed_loop(mix, kLadderCalls, true,
+  const Loop loop = closed_loop(mix, kLadderCalls, Order::kMixed,
                                 [&server](int, const Sample& s, Loop&) {
     rn::obs::TraceSpan span("bench.submit");
     return server.submit(s).get();
@@ -308,16 +317,21 @@ RunResult run_serve(const Options& opts) {
     stack.reset();  // the previous repetition's server, if any
     mix = make_mix(opts.seed, reference);
     stack = start_stack(mix);
-    // Without think time the four clients move in lockstep, so every batch
-    // holds four scenarios of one topology (the pool alternates NSFNET and
-    // Geant2 and the clients start 8 apart): both workers' arenas reach the
-    // largest batch shape the measured loop can form, and the peak
-    // resident set stops depending on whether the loop happens to.
-    const Loop warm =
-        net_loop(*stack, mix, kWarmupPerClient, /*think_time=*/false);
-    if (warm.failed > 0) throw std::runtime_error("warm-up requests failed");
+    // The arenas keep a free list per power-of-two size class, so a
+    // worker's resident set grows with every batch shape it has run, not
+    // only the largest. The warm-up runs the largest shape (four Geant2
+    // scenarios), then scattered batches of every size and mix, on both
+    // workers, so the measured loop's peak resident set does not depend on
+    // whether a host stall knocks its clients out of step.
+    const Loop warm = net_loop(*stack, mix, kWarmupPerClient, Order::kGeant2);
+    const Loop scatter =
+        net_loop(*stack, mix, kScatterPerClient, Order::kScattered);
+    if (warm.failed + scatter.failed > 0) {
+      throw std::runtime_error("warm-up requests failed");
+    }
   });
 
+  const double setup_rss_mb = peak_rss_mb();
   const double seconds = opts.trace ? opts.seconds / 2 : opts.seconds;
   const int per_client = static_cast<int>(
       std::ceil(seconds * kRequestsPerSecond / kClients));
@@ -335,6 +349,8 @@ RunResult run_serve(const Options& opts) {
   }
   for (double n : counts) r.windows.emplace_back(n, slice);
   r.info["scenarios"] = static_cast<double>(mix.pool.size());
+  // Equal to peak_rss_mb when the warm-up reached every batch shape.
+  r.info["setup_peak_rss_mb"] = setup_rss_mb;
   if (!opts.trace) return r;
 
   const std::uint64_t allocs0 = rn::ag::arena_stats().fresh_allocs;

@@ -89,8 +89,11 @@ def result_line(raw, values, units):
         finite = isinstance(value, (int, float)) and math.isfinite(value)
         metrics[name] = {"value": value if finite else None,
                          "unit": units[name]}
+    # A failed operation (a reject or transport error on serve, a step that
+    # never finished on train) fails the run even when no output check
+    # recorded an error for it.
     return {
-        "correct": not raw["errors"],
+        "correct": not raw["errors"] and raw["failed"] == 0,
         "attempted": int(raw["attempted"]),
         "failed": int(raw["failed"]),
         "metrics": metrics,

@@ -105,6 +105,17 @@ class Failures(unittest.TestCase):
             bad, summary.end_to_end(bad), units)["correct"])
 
 
+    def test_failed_operation_makes_run_incorrect(self):
+        # A serve reject or transport error adds to `failed` only; even one,
+        # far too few to move a percentile, must fail the run.
+        units = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+        raw = raw_result([0.01] * 999, failed=1)
+        line = summary.result_line(raw, summary.end_to_end(raw), units)
+        self.assertFalse(line["correct"])
+        self.assertEqual(line["failed"], 1)
+        self.assertIsNotNone(line["metrics"]["item_ms_tail"]["value"])
+
+
 class MetricNames(unittest.TestCase):
     def test_declared_names_are_well_formed_and_unique(self):
         names = [m["name"] for m in SPEC["end_to_end"] + SPEC["per_layer"]]
