@@ -1,7 +1,8 @@
-// `datagen`: generate_shard for a Geant2 corpus on a 4-wide pool (one task
-// per sample), then verify_shards on the written file, in rounds of one
-// shard each. An item is one sample; its latency is the time one pool
-// thread spent producing it, read from the generator's progress callback.
+// `datagen`: generate_shard for a Geant2 corpus on a 2-wide pool (coarse
+// tasks of several samples), then verify_shards on the written file, in
+// rounds of one shard each. An item is one sample; its latency is the time
+// one pool thread spent producing it, read from the generator's progress
+// callback.
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -22,12 +23,16 @@ namespace perfbench {
 
 namespace {
 
-constexpr int kPoolWidth = 4;
+// Two threads, not four: on a 4-core host shared with other processes a
+// 4-wide pool has a thread descheduled now and then, and those samples
+// set the tail (p90 91 ms alone, 150 ms beside one busy process). Two
+// threads leave room for the neighbours (85–91 ms either way).
+constexpr int kPoolWidth = 2;
 // Samples per shard; at most generate_shard's internal chunk (64), so one
 // round is one parallel generation pass and per-thread gaps stay unbroken.
 constexpr int kRoundSamples = 64;
-// Rounds per second of --seconds, sized for about 1.4 s per round on a
-// 4-core x86 host.
+// Rounds per second of --seconds: 14 rounds, 854 timed samples in a 20 s
+// run, which take 19–34 s (1.4–2.4 s per round) on a 4-core x86 host.
 constexpr double kRoundsPerSecond = 0.7;
 constexpr int kSetupReps = 5;
 constexpr int kWarmupSamples = 16;
