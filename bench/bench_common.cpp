@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "dataset/stream.h"
 #include "obs/event.h"
 #include "obs/json.h"
 #include "obs/snapshot.h"
@@ -150,13 +151,19 @@ std::vector<dataset::Sample> load_or_generate(
     const char* label) {
   if (std::filesystem::exists(path)) {
     std::printf("  [cache] %-18s <- %s\n", label, path.c_str());
-    return dataset::load_dataset(path);
+    return dataset::load_shard(path);
   }
   std::printf("  generating %-3d %s samples...\n", count, label);
   std::fflush(stdout);
+  dataset::ShardHeader header;
+  header.seed = gen.seed();
+  header.config_fingerprint =
+      dataset::config_fingerprint(gen.config(), *topology);
   std::vector<dataset::Sample> samples =
       gen.generate_many(std::move(topology), count);
-  dataset::save_dataset(path, samples);
+  dataset::ShardWriter writer(path, header);
+  for (const dataset::Sample& s : samples) writer.add(s);
+  writer.finish();
   return samples;
 }
 
@@ -174,11 +181,11 @@ PaperSetup load_or_train_paper_setup(const ExperimentScale& scale) {
   std::printf("== RouteNet paper setup (scale: %s) ==\n", scale.name.c_str());
   PaperSetup setup{
       core::RouteNet(paper_model_config()),
-      load_or_generate(dir + "/eval_nsfnet" + tag + ".ds", eval_gen,
+      load_or_generate(dir + "/eval_nsfnet" + tag + ".rnds", eval_gen,
                        nsfnet_topology(), scale.eval_nsfnet, "eval-NSFNET"),
-      load_or_generate(dir + "/eval_syn50" + tag + ".ds", eval_gen,
+      load_or_generate(dir + "/eval_syn50" + tag + ".rnds", eval_gen,
                        syn50_topology(), scale.eval_syn50, "eval-50node"),
-      load_or_generate(dir + "/eval_geant2" + tag + ".ds", eval_gen,
+      load_or_generate(dir + "/eval_geant2" + tag + ".rnds", eval_gen,
                        geant2_topology(), scale.eval_geant2, "eval-Geant2"),
   };
 
@@ -194,11 +201,11 @@ PaperSetup load_or_train_paper_setup(const ExperimentScale& scale) {
   }
 
   std::vector<dataset::Sample> train =
-      load_or_generate(dir + "/train_nsfnet" + tag + ".ds", train_gen,
+      load_or_generate(dir + "/train_nsfnet" + tag + ".rnds", train_gen,
                        nsfnet_topology(), scale.train_nsfnet, "train-NSFNET");
   {
     std::vector<dataset::Sample> syn =
-        load_or_generate(dir + "/train_syn50" + tag + ".ds", train_gen,
+        load_or_generate(dir + "/train_syn50" + tag + ".rnds", train_gen,
                          syn50_topology(), scale.train_syn50, "train-50node");
     for (dataset::Sample& s : syn) train.push_back(std::move(s));
   }

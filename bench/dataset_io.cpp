@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "dataset/stream.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
+#include "util/bytes.h"
 
 namespace {
 
@@ -32,12 +32,6 @@ std::uint64_t corpus_size(const rn::bench::ExperimentScale& scale) {
   if (scale.name == "quick") return 16;
   if (scale.name == "large") return 128;
   return 48;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
 }
 
 bool params_bitwise_equal(rn::core::RouteNet& a, rn::core::RouteNet& b) {
@@ -93,7 +87,7 @@ int main(int argc, char** argv) {
   rn::dataset::generate_shard(single, cfg, seed, topology, total, 0, 1);
   rn::dataset::verify_shards(shards);
   rn::dataset::merge_shards(merged, shards);
-  const bool merge_ok = read_file(single) == read_file(merged);
+  const bool merge_ok = rn::read_file(single) == rn::read_file(merged);
   std::printf("  merge vs single: %s\n",
               merge_ok ? "bitwise identical" : "MISMATCH");
 
@@ -137,7 +131,7 @@ int main(int argc, char** argv) {
   rn::core::RouteNet in_ram_model(mcfg);
   {
     std::vector<rn::dataset::Sample> samples =
-        rn::dataset::load_any_dataset(single);
+        rn::dataset::load_shard(single);
     rn::dataset::VectorSampleSource source(samples);
     rn::core::Trainer trainer(in_ram_model, tcfg);
     trainer.fit(source);

@@ -1,75 +1,56 @@
-// Binary checkpointing of parameter sets and full training state.
+// Binary checkpointing of training state, and the named-tensor block that
+// checkpoints and model files share.
 //
-// Two container formats, both versioned by magic string:
-//
-//  * "RNCKPT1\n" — a bare parameter block: uint32 count, then per parameter
-//    uint32 name_len, name bytes, int32 rows, int32 cols, float payload.
-//    Stream overloads let callers embed a parameter block inside a larger
-//    model file (config header + parameters).
-//  * "RNCKPT2\n" — a full training-state checkpoint: the parameter block
-//    plus optimizer state (Adam first/second moments and step count), named
-//    RNG engine states, and a trainer cursor (epoch, batch offset, best-eval
-//    tracking, the epoch's shuffled sample order). The payload is length-
-//    prefixed and CRC32-protected, and files are written atomically
-//    (temp file + rename), so a crash mid-write can never leave a torn
-//    file that later loads. See docs/file-formats.md for the byte layout.
-//
-// `load_train_checkpoint*` also accepts RNCKPT1 files, yielding a
-// params-only checkpoint (no optimizer/RNG/cursor sections).
+// "RNCKPT2\n" is a full training-state checkpoint in the sealed container
+// of util/bytes.h (magic, u64 payload length, payload, CRC-32): the
+// parameter block plus optimizer state (Adam first/second moments and step
+// count), named RNG engine states, and a trainer cursor (epoch, batch
+// offset, best-eval tracking, the epoch's shuffled sample order). Files are
+// written atomically (temp file + rename), so a crash mid-write can never
+// leave a torn file that later loads. See docs/file-formats.md for the byte
+// layout.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "ag/tape.h"
+#include "util/bytes.h"
 
 namespace rn::ag {
 
-void save_parameters(std::ostream& out,
-                     const std::vector<Parameter*>& params);
-void save_parameters(const std::string& path,
-                     const std::vector<Parameter*>& params);
+// The byte layer's CRC, kept reachable as ag::crc32.
+using rn::crc32;
 
-// Loads by name into the given parameters; shapes must match exactly.
-// Throws if a parameter is missing from the stream, naming the parameter
-// and (on shape mismatch) both shapes.
-void load_parameters(std::istream& in,
-                     const std::vector<Parameter*>& params);
-void load_parameters(const std::string& path,
-                     const std::vector<Parameter*>& params);
+using NamedTensors = std::vector<std::pair<std::string, Tensor>>;
+
+// The named-tensor block: u32 count, then per tensor a u32-length-prefixed
+// name, i32 rows, i32 cols and rows*cols f32 values.
+void put_named_tensors(std::string& out, const NamedTensors& named);
+NamedTensors get_named_tensors(ByteReader& in);
 
 // Assigns `named` tensors onto `params` by name. Error messages name the
 // offending parameter and both shapes; `context` prefixes them (e.g. the
 // file being loaded).
-void apply_named_tensors(
-    const std::vector<std::pair<std::string, Tensor>>& named,
-    const std::vector<Parameter*>& params, const std::string& context);
-
-// CRC32 (IEEE 802.3 / zlib polynomial) of `len` bytes, optionally chained
-// from a previous call's result.
-std::uint32_t crc32(const void* data, std::size_t len,
-                    std::uint32_t crc = 0);
-
-// Writes `bytes` to `path` via a same-directory temporary file and an
-// atomic rename, so concurrent readers (and crashes) never observe a
-// partially written file.
-void atomic_write_file(const std::string& path, const std::string& bytes);
+void apply_named_tensors(const NamedTensors& named,
+                         const std::vector<Parameter*>& params,
+                         const std::string& context);
 
 // Everything needed to stop a training run at an arbitrary batch and later
 // continue it to a bitwise-identical final model.
 struct TrainCheckpoint {
   // Model parameters, by name.
-  std::vector<std::pair<std::string, Tensor>> params;
+  NamedTensors params;
 
-  // Adam state; absent when loading a bare RNCKPT1 parameter block.
+  // Adam state; absent when the checkpoint was saved without one.
   bool has_optimizer = false;
   std::int64_t adam_step = 0;
   float lr = 0.0f;
-  std::vector<std::pair<std::string, Tensor>> adam_m;
-  std::vector<std::pair<std::string, Tensor>> adam_v;
+  NamedTensors adam_m;
+  NamedTensors adam_v;
 
   // Named RNG engine states (std::mt19937_64 text serialization).
   std::vector<std::pair<std::string, std::string>> rng_streams;
@@ -96,7 +77,8 @@ struct TrainCheckpoint {
 // throws std::runtime_error on any corruption (bad magic, length mismatch,
 // CRC failure, truncated or absurd fields).
 std::string train_checkpoint_bytes(const TrainCheckpoint& ckpt);
-TrainCheckpoint parse_train_checkpoint(const std::string& bytes);
+TrainCheckpoint parse_train_checkpoint(std::string_view bytes,
+                                       std::string_view context = "checkpoint");
 
 // Atomic, CRC-protected save. Returns the file size in bytes.
 std::size_t save_train_checkpoint(const std::string& path,

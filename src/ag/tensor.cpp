@@ -10,22 +10,28 @@
 
 namespace rn::ag {
 
-Tensor::Tensor(int rows, int cols)
-    : rows_(rows), cols_(cols),
-      buf_(static_cast<std::size_t>(rows) * cols) {
+namespace {
+
+// Element count, validated before anything is allocated.
+std::size_t checked_size(int rows, int cols) {
   RN_CHECK(rows >= 0 && cols >= 0, "negative tensor dimension");
-  // Pooled buffers come back dirty; the zero-filled contract stands.
-  std::memset(buf_.data(), 0,
-              static_cast<std::size_t>(rows) * cols * sizeof(float));
+  return static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+}
+
+}  // namespace
+
+Tensor::Tensor(int rows, int cols)
+    : rows_(rows), cols_(cols), buf_(checked_size(rows, cols)) {
+  // Pooled buffers come back dirty; the zero-filled contract stands. A
+  // zero-size tensor has no buffer to fill.
+  const std::size_t n = checked_size(rows, cols);
+  if (n != 0) std::memset(buf_.data(), 0, n * sizeof(float));
 }
 
 Tensor::Tensor(int rows, int cols, float fill)
-    : rows_(rows), cols_(cols),
-      buf_(static_cast<std::size_t>(rows) * cols) {
-  RN_CHECK(rows >= 0 && cols >= 0, "negative tensor dimension");
-  const std::size_t n = static_cast<std::size_t>(rows) * cols;
+    : rows_(rows), cols_(cols), buf_(checked_size(rows, cols)) {
   float* p = buf_.data();
-  std::fill(p, p + n, fill);
+  std::fill(p, p + checked_size(rows, cols), fill);
 }
 
 Tensor::Tensor(const Tensor& other)

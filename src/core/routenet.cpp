@@ -1,8 +1,6 @@
 #include "core/routenet.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 #include "ag/serialize.h"
 #include "obs/timer.h"
@@ -212,82 +210,59 @@ std::size_t RouteNet::num_parameters() const {
 }
 
 namespace {
-// v1 lacked the aggregation / log_space ablation fields (defaults: sum
-// aggregation, log-space targets); v2 added them; v3 adds the readout
-// dropout rate. All load.
-constexpr char kModelMagicV1[] = "RNMODEL1";
-constexpr char kModelMagicV2[] = "RNMODEL2";
-constexpr char kModelMagicV3[] = "RNMODEL3";
-constexpr std::size_t kModelMagicLen = 8;
+constexpr char kModelMagic[] = "RNMODEL4";
 }  // namespace
 
 void RouteNet::save(const std::string& path) const {
-  // Serialize to memory, then write atomically (temp file + rename) so a
-  // crash mid-save — e.g. during the trainer's best-model checkpoint —
-  // never leaves a torn file behind.
-  std::ostringstream out(std::ios::binary);
-  out.write(kModelMagicV3, kModelMagicLen);
-  auto write_pod = [&out](const auto& v) {
-    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  write_pod(config_.link_state_dim);
-  write_pod(config_.path_state_dim);
-  write_pod(config_.iterations);
-  write_pod(config_.readout_hidden);
-  write_pod(config_.aggregation);
-  write_pod(config_.dropout);
-  write_pod(config_.seed);
-  write_pod(norm_.capacity_scale);
-  write_pod(norm_.traffic_scale);
-  const std::uint8_t log_space = norm_.log_space ? 1 : 0;
-  write_pod(log_space);
-  write_pod(norm_.log_delay_mean);
-  write_pod(norm_.log_delay_std);
-  write_pod(norm_.log_jitter_mean);
-  write_pod(norm_.log_jitter_std);
-  ag::save_parameters(out, const_cast<RouteNet*>(this)->params());
-  RN_CHECK(out.good(), "serialization failure for model file: " + path);
-  ag::atomic_write_file(path, out.str());
+  std::string payload;
+  put_pod(payload, config_.link_state_dim);
+  put_pod(payload, config_.path_state_dim);
+  put_pod(payload, config_.iterations);
+  put_pod(payload, config_.readout_hidden);
+  put_pod(payload, config_.aggregation);
+  put_pod(payload, config_.dropout);
+  put_pod(payload, config_.seed);
+  put_pod(payload, norm_.capacity_scale);
+  put_pod(payload, norm_.traffic_scale);
+  put_pod(payload, static_cast<std::uint8_t>(norm_.log_space ? 1 : 0));
+  put_pod(payload, norm_.log_delay_mean);
+  put_pod(payload, norm_.log_delay_std);
+  put_pod(payload, norm_.log_jitter_mean);
+  put_pod(payload, norm_.log_jitter_std);
+  ag::NamedTensors named;
+  for (const ag::Parameter* p : const_cast<RouteNet*>(this)->params()) {
+    named.emplace_back(p->name, p->value);
+  }
+  ag::put_named_tensors(payload, named);
+  // Temp file + rename: a crash mid-save (e.g. during the trainer's
+  // best-model checkpoint) never leaves a torn file behind.
+  atomic_write_file(path, seal(kModelMagic, payload));
 }
 
 RouteNet RouteNet::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  RN_CHECK(in.good(), "cannot open model file for reading: " + path);
-  char magic_raw[kModelMagicLen];
-  in.read(magic_raw, kModelMagicLen);
-  const std::string magic(magic_raw, kModelMagicLen);
-  RN_CHECK(in.good() && (magic == kModelMagicV1 || magic == kModelMagicV2 ||
-                         magic == kModelMagicV3),
-           "bad model magic in " + path);
-  const bool v2 = magic != kModelMagicV1;
-  const bool v3 = magic == kModelMagicV3;
-  auto read_pod = [&in](auto& v) {
-    in.read(reinterpret_cast<char*>(&v), sizeof(v));
-    RN_CHECK(in.good(), "truncated model file");
-  };
+  const std::string bytes = read_file(path);
+  ByteReader in(unseal(bytes, kModelMagic, path), path);
   RouteNetConfig config;
-  read_pod(config.link_state_dim);
-  read_pod(config.path_state_dim);
-  read_pod(config.iterations);
-  read_pod(config.readout_hidden);
-  if (v2) read_pod(config.aggregation);
-  if (v3) read_pod(config.dropout);
-  read_pod(config.seed);
+  config.link_state_dim = in.pod<int>("link state dim");
+  config.path_state_dim = in.pod<int>("path state dim");
+  config.iterations = in.pod<int>("iterations");
+  config.readout_hidden = in.pod<int>("readout hidden width");
+  config.aggregation = in.pod<Aggregation>("aggregation");
+  config.dropout = in.pod<float>("dropout");
+  config.seed = in.pod<std::uint64_t>("seed");
   dataset::Normalizer norm;
-  read_pod(norm.capacity_scale);
-  read_pod(norm.traffic_scale);
-  if (v2) {
-    std::uint8_t log_space = 1;
-    read_pod(log_space);
-    norm.log_space = log_space != 0;
-  }
-  read_pod(norm.log_delay_mean);
-  read_pod(norm.log_delay_std);
-  read_pod(norm.log_jitter_mean);
-  read_pod(norm.log_jitter_std);
+  norm.capacity_scale = in.pod<double>("capacity scale");
+  norm.traffic_scale = in.pod<double>("traffic scale");
+  norm.log_space = in.pod<std::uint8_t>("log-space flag") != 0;
+  norm.log_delay_mean = in.pod<double>("log delay mean");
+  norm.log_delay_std = in.pod<double>("log delay std");
+  norm.log_jitter_mean = in.pod<double>("log jitter mean");
+  norm.log_jitter_std = in.pod<double>("log jitter std");
+  const ag::NamedTensors named = ag::get_named_tensors(in);
+  in.expect_done("the parameters");
   RouteNet model(config);
   model.set_normalizer(norm);
-  ag::load_parameters(in, model.params());
+  ag::apply_named_tensors(named, model.params(), "model file " + path);
   return model;
 }
 

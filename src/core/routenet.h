@@ -93,7 +93,10 @@ class RouteNet {
 
   std::vector<ag::Parameter*> params();
 
-  // Model file = config + normalizer header, then the parameter block.
+  // RNMODEL4 model file: config + normalizer header, then the named-tensor
+  // block, in the sealed container (util/bytes.h). load() rejects any
+  // truncation, trailing byte, or CRC mismatch, and a parameter that is
+  // missing or has the wrong shape.
   void save(const std::string& path) const;
   static RouteNet load(const std::string& path);
 

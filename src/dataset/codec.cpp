@@ -18,49 +18,8 @@ bool finite_nonneg(double x) { return std::isfinite(x) && x >= 0.0; }
 
 }  // namespace
 
-void ByteReader::fail(const std::string& msg) const {
-  throw std::runtime_error(context_ + ": " + msg);
-}
-
-void ByteReader::require(std::size_t n, const char* what) const {
-  if (n > remaining()) {
-    fail("truncated reading " + std::string(what) + " (need " +
-         std::to_string(n) + " bytes, have " + std::to_string(remaining()) +
-         ")");
-  }
-}
-
-std::string ByteReader::str(std::size_t max_len, const char* what) {
-  const auto len = pod<std::uint32_t>(what);
-  if (len > max_len) {
-    fail(std::string(what) + " length " + std::to_string(len) +
-         " exceeds cap " + std::to_string(max_len));
-  }
-  require(len, what);
-  std::string s(data_.substr(pos_, len));
-  pos_ += len;
-  return s;
-}
-
-std::string_view ByteReader::bytes(std::size_t n, const char* what) {
-  require(n, what);
-  std::string_view v = data_.substr(pos_, n);
-  pos_ += n;
-  return v;
-}
-
-void ByteReader::expect_done(const char* what) const {
-  if (remaining() != 0) {
-    fail(std::to_string(remaining()) + " trailing bytes after " +
-         std::string(what));
-  }
-}
-
-void encode_sample(std::string& out, const Sample& s) {
-  RN_CHECK(s.topology != nullptr, "cannot encode a sample with no topology");
-  const topo::Topology& t = *s.topology;
-  put_pod(out, static_cast<std::uint32_t>(t.name().size()));
-  out.append(t.name());
+void encode_topology(std::string& out, const topo::Topology& t) {
+  put_str<std::uint32_t>(out, t.name());
   put_pod(out, static_cast<std::int32_t>(t.num_nodes()));
   put_pod(out, static_cast<std::int32_t>(t.num_links()));
   for (const topo::Link& l : t.links()) {
@@ -69,6 +28,12 @@ void encode_sample(std::string& out, const Sample& s) {
     put_pod(out, l.capacity_bps);
     put_pod(out, l.prop_delay_s);
   }
+}
+
+void encode_sample(std::string& out, const Sample& s) {
+  RN_CHECK(s.topology != nullptr, "cannot encode a sample with no topology");
+  const topo::Topology& t = *s.topology;
+  encode_topology(out, t);
   for (int idx = 0; idx < t.num_pairs(); ++idx) {
     const routing::Path& p = s.routing.path_by_index(idx);
     put_pod(out, static_cast<std::uint32_t>(p.size()));
@@ -86,7 +51,8 @@ void encode_sample(std::string& out, const Sample& s) {
 }
 
 Sample decode_sample(ByteReader& in) {
-  const std::string name = in.str(kMaxNameLen, "topology name");
+  const std::string name =
+      in.str<std::uint32_t>(kMaxNameLen, "topology name");
   const auto num_nodes = in.pod<std::int32_t>("node count");
   const auto num_links = in.pod<std::int32_t>("link count");
   if (num_nodes < 1 || num_nodes > kMaxNodes) {
@@ -164,28 +130,6 @@ Sample decode_sample(ByteReader& in) {
     in.fail("non-finite max link utilization");
   }
   return s;
-}
-
-std::vector<Sample> parse_dataset_bytes(std::string_view bytes,
-                                        const std::string& context) {
-  ByteReader in(bytes, context);
-  const std::string_view magic = in.bytes(kDatasetMagicLen, "dataset magic");
-  if (magic != std::string_view(kDatasetMagic, kDatasetMagicLen)) {
-    in.fail("bad dataset magic");
-  }
-  const auto count = in.pod<std::uint32_t>("sample count");
-  if (count > in.remaining() / kMinSampleBytes) {
-    in.fail("declared sample count " + std::to_string(count) +
-            " exceeds what " + std::to_string(in.remaining()) +
-            " remaining bytes can hold");
-  }
-  std::vector<Sample> samples;
-  samples.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    samples.push_back(decode_sample(in));
-  }
-  in.expect_done("dataset samples");
-  return samples;
 }
 
 }  // namespace rn::dataset

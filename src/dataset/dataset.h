@@ -101,6 +101,7 @@ class DatasetGenerator {
       const std::function<void(std::uint64_t, std::uint64_t)>& progress = {});
 
   const GeneratorConfig& config() const { return cfg_; }
+  std::uint64_t seed() const { return seed_; }
 
  private:
   GeneratorConfig cfg_;
@@ -137,14 +138,5 @@ Normalizer fit_normalizer(const std::vector<Sample>& samples,
 // Deterministic shuffled split; fraction goes to the first return.
 std::pair<std::vector<Sample>, std::vector<Sample>> split_dataset(
     std::vector<Sample> samples, double first_fraction, std::uint64_t seed);
-
-// Binary dataset (de)serialization in the legacy RNDATA1 container,
-// including the topology of each sample. Writes go through a temp file +
-// atomic rename (a crash never leaves a torn dataset); reads are fully
-// bounds-checked (codec.h) — truncated or corrupted files throw instead of
-// over-allocating. For the sharded, CRC-indexed RNDS1 container see
-// shard.h; for streaming consumption see stream.h.
-void save_dataset(const std::string& path, const std::vector<Sample>& samples);
-std::vector<Sample> load_dataset(const std::string& path);
 
 }  // namespace rn::dataset

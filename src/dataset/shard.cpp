@@ -7,10 +7,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 
-#include "ag/serialize.h"
 #include "dataset/codec.h"
 #include "obs/event.h"
 #include "util/check.h"
@@ -31,7 +29,7 @@ std::string encode_shard_header(const ShardHeader& h) {
   put_pod(out, h.first_index);
   put_pod(out, h.count);
   put_pod(out, h.payload_len);
-  put_pod(out, ag::crc32(out.data(), out.size()));
+  put_pod(out, crc32(out.data(), out.size()));
   RN_CHECK(out.size() == kShardHeaderBytes, "shard header layout drifted");
   return out;
 }
@@ -65,18 +63,9 @@ std::uint64_t config_fingerprint(const GeneratorConfig& cfg,
   put_pod(c, static_cast<std::uint64_t>(cfg.min_delivered));
 
   std::string t;
-  put_pod(t, static_cast<std::uint32_t>(topo.name().size()));
-  t.append(topo.name());
-  put_pod(t, static_cast<std::int32_t>(topo.num_nodes()));
-  put_pod(t, static_cast<std::int32_t>(topo.num_links()));
-  for (const topo::Link& l : topo.links()) {
-    put_pod(t, static_cast<std::int32_t>(l.src));
-    put_pod(t, static_cast<std::int32_t>(l.dst));
-    put_pod(t, l.capacity_bps);
-    put_pod(t, l.prop_delay_s);
-  }
-  return (static_cast<std::uint64_t>(ag::crc32(c.data(), c.size())) << 32) |
-         ag::crc32(t.data(), t.size());
+  encode_topology(t, topo);
+  return (static_cast<std::uint64_t>(crc32(c.data(), c.size())) << 32) |
+         crc32(t.data(), t.size());
 }
 
 std::uint64_t shard_first(std::uint64_t total, std::uint32_t index,
@@ -109,7 +98,7 @@ ShardWriter::~ShardWriter() {
 void ShardWriter::add(const Sample& s) {
   scratch_.clear();
   encode_sample(scratch_, s);
-  add_raw(scratch_, ag::crc32(scratch_.data(), scratch_.size()));
+  add_raw(scratch_, crc32(scratch_.data(), scratch_.size()));
 }
 
 void ShardWriter::add_raw(std::string_view record, std::uint32_t crc) {
@@ -132,7 +121,7 @@ std::uint64_t ShardWriter::finish() {
     put_pod(tail, e.length);
     put_pod(tail, e.crc);
   }
-  put_pod(tail, ag::crc32(tail.data(), tail.size()));
+  put_pod(tail, crc32(tail.data(), tail.size()));
   out_.write(tail.data(), static_cast<std::streamsize>(tail.size()));
   const std::string header = encode_shard_header(header_);
   out_.seekp(0);
@@ -161,8 +150,8 @@ ParsedShard parse_shard_bytes(std::string_view bytes,
                               const std::string& context) {
   ByteReader in(bytes, context);
   const std::string_view magic = in.bytes(sizeof(kShardMagic), "shard magic");
-  if (std::memcmp(magic.data(), kShardMagic, sizeof(kShardMagic)) != 0) {
-    in.fail("bad RNDS1 magic");
+  if (magic != std::string_view(kShardMagic, sizeof(kShardMagic))) {
+    in.fail("bad RNDS1 magic (the retired RNDATA1 format is not read)");
   }
   const auto version = in.pod<std::uint32_t>("shard version");
   if (version != kShardVersion) {
@@ -179,7 +168,7 @@ ParsedShard parse_shard_bytes(std::string_view bytes,
   h.payload_len = in.pod<std::uint64_t>("payload length");
   const auto stored_crc = in.pod<std::uint32_t>("header crc");
   const std::uint32_t actual_crc =
-      ag::crc32(bytes.data(), kShardHeaderBytes - 4);
+      crc32(bytes.data(), kShardHeaderBytes - 4);
   if (stored_crc != actual_crc) in.fail("shard header CRC mismatch");
   if (h.shard_count < 1 || h.shard_index >= h.shard_count) {
     in.fail("shard index " + std::to_string(h.shard_index) +
@@ -200,23 +189,21 @@ ParsedShard parse_shard_bytes(std::string_view bytes,
       (rest - 4) / kIndexEntryBytes != h.count) {
     in.fail("file size inconsistent with declared record count");
   }
-  const std::string_view index_bytes =
-      bytes.substr(kShardHeaderBytes + h.payload_len,
-                   static_cast<std::size_t>(h.count) * kIndexEntryBytes);
-  std::uint32_t stored_index_crc = 0;
-  std::memcpy(&stored_index_crc, bytes.data() + (sz - 4), 4);
-  if (stored_index_crc != ag::crc32(index_bytes.data(), index_bytes.size())) {
+  out.payload = in.bytes(h.payload_len, "record payload");
+  const std::string_view index_bytes = in.bytes(
+      static_cast<std::size_t>(h.count) * kIndexEntryBytes, "record index");
+  if (in.pod<std::uint32_t>("index crc") !=
+      crc32(index_bytes.data(), index_bytes.size())) {
     in.fail("shard index CRC mismatch");
   }
+  ByteReader index_in(index_bytes, context);
   out.index.reserve(static_cast<std::size_t>(h.count));
   std::uint64_t expect_offset = 0;
   for (std::uint64_t i = 0; i < h.count; ++i) {
     ShardIndexEntry e;
-    const char* p =
-        index_bytes.data() + static_cast<std::size_t>(i) * kIndexEntryBytes;
-    std::memcpy(&e.offset, p, 8);
-    std::memcpy(&e.length, p + 8, 4);
-    std::memcpy(&e.crc, p + 12, 4);
+    e.offset = index_in.pod<std::uint64_t>("record offset");
+    e.length = index_in.pod<std::uint32_t>("record length");
+    e.crc = index_in.pod<std::uint32_t>("record crc");
     if (e.offset != expect_offset) in.fail("shard index does not tile payload");
     if (e.length > h.payload_len - e.offset) {
       in.fail("record " + std::to_string(i) + " overruns payload");
@@ -227,8 +214,6 @@ ParsedShard parse_shard_bytes(std::string_view bytes,
   if (expect_offset != h.payload_len) {
     in.fail("shard index does not cover payload");
   }
-  out.payload = bytes.substr(kShardHeaderBytes,
-                             static_cast<std::size_t>(h.payload_len));
   return out;
 }
 
@@ -238,11 +223,11 @@ void verify_shard_bytes(std::string_view bytes, const std::string& context) {
     const ShardIndexEntry& e = parsed.index[static_cast<std::size_t>(i)];
     const std::string_view rec =
         parsed.payload.substr(static_cast<std::size_t>(e.offset), e.length);
-    if (ag::crc32(rec.data(), rec.size()) != e.crc) {
+    if (crc32(rec.data(), rec.size()) != e.crc) {
       throw std::runtime_error(context + ": record " + std::to_string(i) +
                                " CRC mismatch");
     }
-    ByteReader rec_in(rec, context + " record " + std::to_string(i));
+    ByteReader rec_in(rec, context, i);
     (void)decode_sample(rec_in);
     rec_in.expect_done("sample record");
   }
@@ -291,11 +276,11 @@ std::uint32_t ShardReader::record_crc(std::uint64_t i) const {
 
 Sample ShardReader::sample(std::uint64_t i) const {
   const std::string_view rec = record(i);
-  if (ag::crc32(rec.data(), rec.size()) != record_crc(i)) {
+  if (crc32(rec.data(), rec.size()) != record_crc(i)) {
     throw std::runtime_error(path_ + ": record " + std::to_string(i) +
                              " CRC mismatch");
   }
-  ByteReader in(rec, path_ + " record " + std::to_string(i));
+  ByteReader in(rec, path_, i);
   Sample s = decode_sample(in);
   in.expect_done("sample record");
   return s;
@@ -446,7 +431,7 @@ std::uint64_t merge_shards(const std::string& out_path,
     for (std::uint64_t i = 0; i < r->size(); ++i) {
       const std::string_view rec = r->record(i);
       const std::uint32_t crc = r->record_crc(i);
-      if (ag::crc32(rec.data(), rec.size()) != crc) {
+      if (crc32(rec.data(), rec.size()) != crc) {
         throw std::runtime_error(r->path() + ": record " + std::to_string(i) +
                                  " CRC mismatch");
       }

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 
-#include "dataset/codec.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/stats.h"
@@ -102,17 +99,7 @@ Normalizer fit_normalizer(SampleSource& source, bool log_space) {
   return norm;
 }
 
-bool is_shard_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return false;
-  char magic[sizeof(kShardMagic)] = {};
-  in.read(magic, sizeof(magic));
-  return in.gcount() == static_cast<std::streamsize>(sizeof(magic)) &&
-         std::memcmp(magic, kShardMagic, sizeof(magic)) == 0;
-}
-
-std::vector<Sample> load_any_dataset(const std::string& path) {
-  if (!is_shard_file(path)) return load_dataset(path);
+std::vector<Sample> load_shard(const std::string& path) {
   ShardReader reader(path);
   std::vector<Sample> out;
   out.reserve(static_cast<std::size_t>(reader.size()));

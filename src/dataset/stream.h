@@ -83,11 +83,7 @@ class StreamingDataset final : public SampleSource {
 // training bitwise identical to in-RAM training.
 Normalizer fit_normalizer(SampleSource& source, bool log_space = true);
 
-// True when the file at `path` starts with the RNDS1 magic.
-bool is_shard_file(const std::string& path);
-
-// Loads either container fully into RAM: RNDS1 shards via a CRC-checked
-// sweep, anything else through the legacy RNDATA1 loader.
-std::vector<Sample> load_any_dataset(const std::string& path);
+// Loads every record of an RNDS1 shard into RAM, CRC-checked.
+std::vector<Sample> load_shard(const std::string& path);
 
 }  // namespace rn::dataset

@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/window.h"
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace rn::serve {
@@ -57,14 +58,6 @@ NetMetrics& metrics() {
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-std::uint32_t load_le32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) |
-         (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
 }
 
 enum class ReadResult { kOk, kEof, kTruncated, kTimeout };
@@ -157,7 +150,10 @@ bool read_frame(int fd, wire::Frame& out, std::uint64_t* bytes_read) {
     default:
       throw wire::ProtocolError("connection closed mid-trailer");
   }
-  wire::verify_frame_crc(fh.type, payload, load_le32(trailer));
+  wire::verify_frame_crc(
+      fh.type, payload,
+      ByteReader(std::string_view(trailer, sizeof(trailer)))
+          .pod<std::uint32_t>("frame CRC"));
   out.type = fh.type;
   out.payload = std::move(payload);
   return true;
@@ -338,7 +334,7 @@ void NetServer::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listener closed by stop()
+      return;  // listener shut down by stop()
     }
     set_nodelay(fd, addr_);
     set_recv_timeout(fd, cfg_.read_timeout_s);
@@ -586,14 +582,14 @@ void NetServer::stop() {
   }
   cv_.notify_all();
   if (policy_ != nullptr) policy_->stop();
+  // shutdown() wakes the blocking accept(); the fd is closed and reset only
+  // after the accept thread has joined, so it never reads a changing fd.
+  if (listen_fd_ >= 0) (void)::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    // Closing makes the blocking accept() return; shutdown first covers
-    // platforms where close alone does not wake it.
-    (void)::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::unique_ptr<Connection>> conns;
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -1,94 +1,41 @@
 #include "serve/protocol.h"
 
 #include <cmath>
-#include <cstring>
 
-#include "ag/serialize.h"  // crc32
 #include "topology/topology.h"
+#include "util/bytes.h"
 
 namespace rn::serve::wire {
 
 namespace {
 
-// Bounds-checked cursor over one payload: every read states what it is
-// reading, and a read past the remaining bytes throws before touching
-// memory. This is the RNCKPT2 reader discipline on a string_view.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  template <typename T>
-  T pod(const char* what) {
-    require(sizeof(T), what);
-    T v{};
-    std::memcpy(&v, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  // u16 length prefix + bytes, capped at max_len.
-  std::string str(std::size_t max_len, const char* what) {
-    const auto len = pod<std::uint16_t>(what);
-    if (len > max_len) {
-      throw ProtocolError(std::string(what) + " length " +
-                          std::to_string(len) + " exceeds cap " +
-                          std::to_string(max_len));
-    }
-    require(len, what);
-    std::string s(data_.substr(pos_, len));
-    pos_ += len;
-    return s;
-  }
-
-  void require(std::size_t n, const char* what) {
-    if (n > data_.size() - pos_) {
-      throw ProtocolError(std::string("truncated payload reading ") + what +
-                          " (need " + std::to_string(n) + " bytes, have " +
-                          std::to_string(data_.size() - pos_) + ")");
-    }
-  }
-
-  void expect_done(const char* what) {
-    if (pos_ != data_.size()) {
-      throw ProtocolError(std::string(what) + " payload has " +
-                          std::to_string(data_.size() - pos_) +
-                          " trailing bytes");
-    }
-  }
-
-  // Bytes not yet consumed — how version-tolerant decoders detect an
-  // optional trailing block.
-  std::size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
-template <typename T>
-void put_pod(std::string& buf, const T& v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
+[[noreturn]] void throw_protocol_error(const std::string& msg) {
+  throw ProtocolError(msg);
 }
 
-void put_str(std::string& buf, std::string_view s, std::size_t max_len,
-             const char* what) {
+// The byte layer's reader, throwing ProtocolError. `what` names the
+// message, so an error reads "RNP/1: predict request: truncated ...".
+ByteReader payload_reader(std::string_view payload, const char* what) {
+  return ByteReader(payload, what, ByteReader::kNoRecord,
+                    throw_protocol_error);
+}
+
+// u16 length prefix + bytes, capped at max_len.
+void put_str16(std::string& buf, std::string_view s, std::size_t max_len,
+               const char* what) {
   if (s.size() > max_len) {
     throw ProtocolError(std::string(what) + " length " +
                         std::to_string(s.size()) + " exceeds cap " +
                         std::to_string(max_len));
   }
-  put_pod(buf, static_cast<std::uint16_t>(s.size()));
-  buf.append(s);
+  put_str<std::uint16_t>(buf, s);
 }
 
 std::uint32_t frame_crc(FrameType type, std::string_view payload) {
   // CRC covers the type byte too, so a flipped type cannot masquerade as a
   // different (structurally valid) message.
-  std::string covered;
-  covered.reserve(1 + payload.size());
-  covered.push_back(static_cast<char>(type));
-  covered.append(payload);
-  return ag::crc32(covered.data(), covered.size());
+  const auto type_byte = static_cast<std::uint8_t>(type);
+  return crc32(payload.data(), payload.size(), crc32(&type_byte, 1));
 }
 
 bool known_type(std::uint8_t t) {
@@ -122,16 +69,19 @@ std::string encode_frame(FrameType type, std::string_view payload) {
 }
 
 FrameHeader parse_frame_header(const char* bytes) {
-  if (std::memcmp(bytes, kMagic, sizeof(kMagic)) != 0) {
+  ByteReader in =
+      payload_reader(std::string_view(bytes, kHeaderLen), "frame header");
+  if (in.bytes(sizeof(kMagic), "magic") !=
+      std::string_view(kMagic, sizeof(kMagic))) {
     throw ProtocolError("bad magic (expected \"RNP1\")");
   }
-  const auto raw_type = static_cast<std::uint8_t>(bytes[4]);
+  const auto raw_type = in.pod<std::uint8_t>("frame type");
   if (!known_type(raw_type)) {
     throw ProtocolError("unknown frame type " + std::to_string(raw_type));
   }
   FrameHeader h;
   h.type = static_cast<FrameType>(raw_type);
-  std::memcpy(&h.payload_len, bytes + 5, sizeof(h.payload_len));
+  h.payload_len = in.pod<std::uint32_t>("payload length");
   if (h.payload_len > kMaxPayload) {
     throw ProtocolError("declared payload of " +
                         std::to_string(h.payload_len) + " bytes exceeds the " +
@@ -158,12 +108,11 @@ Frame parse_frame(std::string_view bytes) {
                         " does not match declared payload of " +
                         std::to_string(h.payload_len) + " bytes");
   }
+  ByteReader in = payload_reader(bytes.substr(kHeaderLen), "frame");
   Frame f;
   f.type = h.type;
-  f.payload = std::string(bytes.substr(kHeaderLen, h.payload_len));
-  std::uint32_t crc = 0;
-  std::memcpy(&crc, bytes.data() + kHeaderLen + h.payload_len, sizeof(crc));
-  verify_frame_crc(f.type, f.payload, crc);
+  f.payload = std::string(in.bytes(h.payload_len, "payload"));
+  verify_frame_crc(f.type, f.payload, in.pod<std::uint32_t>("frame CRC"));
   return f;
 }
 
@@ -182,8 +131,8 @@ std::string encode_predict_request(const std::string& model,
                                    const dataset::Sample& sample) {
   const topo::Topology& t = *sample.topology;
   std::string out;
-  put_str(out, model, kMaxNameLen, "model name");
-  put_str(out, t.name(), kMaxNameLen, "topology name");
+  put_str16(out, model, kMaxNameLen, "model name");
+  put_str16(out, t.name(), kMaxNameLen, "topology name");
   put_pod(out, static_cast<std::int32_t>(t.num_nodes()));
   put_pod(out, static_cast<std::int32_t>(t.num_links()));
   for (const topo::Link& l : t.links()) {
@@ -223,10 +172,11 @@ std::string encode_predict_request(const std::string& model,
 }
 
 PredictRequest decode_predict_request(std::string_view payload) {
-  Cursor c(payload);
-  std::string model = c.str(kMaxNameLen, "model name");
+  ByteReader c = payload_reader(payload, "predict request");
+  std::string model = c.str<std::uint16_t>(kMaxNameLen, "model name");
   if (model.empty()) throw ProtocolError("model name is empty");
-  const std::string topo_name = c.str(kMaxNameLen, "topology name");
+  const std::string topo_name =
+      c.str<std::uint16_t>(kMaxNameLen, "topology name");
   const auto n_nodes = c.pod<std::int32_t>("node count");
   if (n_nodes < 2 || n_nodes > kMaxNodes) {
     throw ProtocolError("node count " + std::to_string(n_nodes) +
@@ -301,7 +251,9 @@ PredictRequest decode_predict_request(std::string_view payload) {
       std::move(model),
       dataset::make_inference_sample(
           std::shared_ptr<const topo::Topology>(std::move(topology)),
-          std::move(scheme), std::move(tm))};
+          std::move(scheme), std::move(tm)),
+      /*has_trace=*/false,
+      /*trace=*/{}};
   // Version tolerance: old clients end here; new clients append exactly a
   // TraceContext. Any other trailing length is malformed, not ignorable —
   // silently skipping unknown bytes would mask corruption the CRC already
@@ -316,7 +268,7 @@ PredictRequest decode_predict_request(std::string_view payload) {
         c.pod<double>("client send timestamp"), "client send timestamp");
     out.has_trace = true;
   }
-  c.expect_done("predict request");
+  c.expect_done("the message");
   return out;
 }
 
@@ -358,7 +310,7 @@ std::string encode_predict_response(const core::RouteNet::Prediction& pred,
 PredictResponse decode_predict_response_full(std::string_view payload) {
   constexpr std::uint32_t kMaxPairs =
       static_cast<std::uint32_t>(kMaxNodes) * (kMaxNodes - 1);
-  Cursor c(payload);
+  ByteReader c = payload_reader(payload, "predict response");
   const auto n_pairs = c.pod<std::uint32_t>("pair count");
   if (n_pairs > kMaxPairs) {
     throw ProtocolError("pair count " + std::to_string(n_pairs) +
@@ -385,7 +337,7 @@ PredictResponse decode_predict_response_full(std::string_view payload) {
         finite_or_throw(c.pod<double>("server seconds"), "server seconds");
     resp.has_trace = true;
   }
-  c.expect_done("predict response");
+  c.expect_done("the message");
   return resp;
 }
 
@@ -398,13 +350,13 @@ core::RouteNet::Prediction decode_predict_response(std::string_view payload) {
 std::string encode_error(ErrorCode code, std::string_view message) {
   std::string out;
   put_pod(out, static_cast<std::uint16_t>(code));
-  put_str(out, message.substr(0, kMaxErrorMsgLen), kMaxErrorMsgLen,
+  put_str16(out, message.substr(0, kMaxErrorMsgLen), kMaxErrorMsgLen,
           "error message");
   return out;
 }
 
 ErrorFrame decode_error(std::string_view payload) {
-  Cursor c(payload);
+  ByteReader c = payload_reader(payload, "error");
   ErrorFrame e;
   const auto raw = c.pod<std::uint16_t>("error code");
   if (raw < static_cast<std::uint16_t>(ErrorCode::kMalformed) ||
@@ -412,8 +364,8 @@ ErrorFrame decode_error(std::string_view payload) {
     throw ProtocolError("unknown error code " + std::to_string(raw));
   }
   e.code = static_cast<ErrorCode>(raw);
-  e.message = c.str(kMaxErrorMsgLen, "error message");
-  c.expect_done("error");
+  e.message = c.str<std::uint16_t>(kMaxErrorMsgLen, "error message");
+  c.expect_done("the message");
   return e;
 }
 
@@ -421,32 +373,32 @@ ErrorFrame decode_error(std::string_view payload) {
 
 std::string encode_reload_request(const std::string& model) {
   std::string out;
-  put_str(out, model, kMaxNameLen, "model name");
+  put_str16(out, model, kMaxNameLen, "model name");
   return out;
 }
 
 std::string decode_reload_request(std::string_view payload) {
-  Cursor c(payload);
-  const std::string model = c.str(kMaxNameLen, "model name");
+  ByteReader c = payload_reader(payload, "reload request");
+  const std::string model = c.str<std::uint16_t>(kMaxNameLen, "model name");
   if (model.empty()) throw ProtocolError("model name is empty");
-  c.expect_done("reload request");
+  c.expect_done("the message");
   return model;
 }
 
 std::string encode_reload_response(const std::string& model,
                                    std::uint64_t version) {
   std::string out;
-  put_str(out, model, kMaxNameLen, "model name");
+  put_str16(out, model, kMaxNameLen, "model name");
   put_pod(out, version);
   return out;
 }
 
 ReloadResponse decode_reload_response(std::string_view payload) {
-  Cursor c(payload);
+  ByteReader c = payload_reader(payload, "reload response");
   ReloadResponse r;
-  r.model = c.str(kMaxNameLen, "model name");
+  r.model = c.str<std::uint16_t>(kMaxNameLen, "model name");
   r.version = c.pod<std::uint64_t>("version");
-  c.expect_done("reload response");
+  c.expect_done("the message");
   return r;
 }
 
@@ -479,7 +431,7 @@ std::uint32_t stats_count(const Vec& v, const char* what) {
   return static_cast<std::uint32_t>(v.size());
 }
 
-std::uint32_t read_stats_count(Cursor& c, const char* what) {
+std::uint32_t read_stats_count(ByteReader& c, const char* what) {
   const auto n = c.pod<std::uint32_t>(what);
   if (n > kMaxStatsEntries) {
     throw ProtocolError(std::string(what) + " " + std::to_string(n) +
@@ -497,17 +449,17 @@ std::string encode_stats_response(const StatsSnapshot& snap) {
   put_pod(out, snap.trace_sampled_out);
   put_pod(out, stats_count(snap.counters, "counter count"));
   for (const StatsSnapshot::CounterEntry& e : snap.counters) {
-    put_str(out, e.name, kMaxNameLen, "counter name");
+    put_str16(out, e.name, kMaxNameLen, "counter name");
     put_pod(out, e.value);
   }
   put_pod(out, stats_count(snap.gauges, "gauge count"));
   for (const StatsSnapshot::GaugeEntry& e : snap.gauges) {
-    put_str(out, e.name, kMaxNameLen, "gauge name");
+    put_str16(out, e.name, kMaxNameLen, "gauge name");
     put_pod(out, e.value);
   }
   put_pod(out, stats_count(snap.histograms, "histogram count"));
   for (const StatsSnapshot::HistogramEntry& e : snap.histograms) {
-    put_str(out, e.name, kMaxNameLen, "histogram name");
+    put_str16(out, e.name, kMaxNameLen, "histogram name");
     put_pod(out, e.count);
     put_pod(out, e.mean);
     put_pod(out, e.p50);
@@ -517,7 +469,7 @@ std::string encode_stats_response(const StatsSnapshot& snap) {
   }
   put_pod(out, stats_count(snap.windows, "window count"));
   for (const StatsSnapshot::WindowEntry& e : snap.windows) {
-    put_str(out, e.name, kMaxNameLen, "window name");
+    put_str16(out, e.name, kMaxNameLen, "window name");
     put_pod(out, e.window_s);
     put_pod(out, e.count);
     put_pod(out, e.p50);
@@ -537,7 +489,7 @@ std::string encode_stats_response(const StatsSnapshot& snap) {
   }
   put_pod(out, stats_count(snap.models, "model count"));
   for (const StatsSnapshot::ModelEntry& e : snap.models) {
-    put_str(out, e.name, kMaxNameLen, "model name");
+    put_str16(out, e.name, kMaxNameLen, "model name");
     put_pod(out, e.version);
     put_pod(out, e.parameters);
   }
@@ -545,7 +497,7 @@ std::string encode_stats_response(const StatsSnapshot& snap) {
 }
 
 StatsSnapshot decode_stats_response(std::string_view payload) {
-  Cursor c(payload);
+  ByteReader c = payload_reader(payload, "stats response");
   StatsSnapshot snap;
   snap.server_time_s = c.pod<double>("server time");
   snap.trace_dropped = c.pod<std::uint64_t>("trace dropped");
@@ -554,7 +506,7 @@ StatsSnapshot decode_stats_response(std::string_view payload) {
   snap.counters.reserve(n_counters);
   for (std::uint32_t i = 0; i < n_counters; ++i) {
     StatsSnapshot::CounterEntry e;
-    e.name = c.str(kMaxNameLen, "counter name");
+    e.name = c.str<std::uint16_t>(kMaxNameLen, "counter name");
     e.value = c.pod<std::uint64_t>("counter value");
     snap.counters.push_back(std::move(e));
   }
@@ -562,7 +514,7 @@ StatsSnapshot decode_stats_response(std::string_view payload) {
   snap.gauges.reserve(n_gauges);
   for (std::uint32_t i = 0; i < n_gauges; ++i) {
     StatsSnapshot::GaugeEntry e;
-    e.name = c.str(kMaxNameLen, "gauge name");
+    e.name = c.str<std::uint16_t>(kMaxNameLen, "gauge name");
     e.value = c.pod<double>("gauge value");
     snap.gauges.push_back(std::move(e));
   }
@@ -570,7 +522,7 @@ StatsSnapshot decode_stats_response(std::string_view payload) {
   snap.histograms.reserve(n_hists);
   for (std::uint32_t i = 0; i < n_hists; ++i) {
     StatsSnapshot::HistogramEntry e;
-    e.name = c.str(kMaxNameLen, "histogram name");
+    e.name = c.str<std::uint16_t>(kMaxNameLen, "histogram name");
     e.count = c.pod<std::uint64_t>("histogram count");
     e.mean = c.pod<double>("histogram mean");
     e.p50 = c.pod<double>("histogram p50");
@@ -583,7 +535,7 @@ StatsSnapshot decode_stats_response(std::string_view payload) {
   snap.windows.reserve(n_windows);
   for (std::uint32_t i = 0; i < n_windows; ++i) {
     StatsSnapshot::WindowEntry e;
-    e.name = c.str(kMaxNameLen, "window name");
+    e.name = c.str<std::uint16_t>(kMaxNameLen, "window name");
     e.window_s = c.pod<double>("window span");
     e.count = c.pod<std::uint64_t>("window count");
     e.p50 = c.pod<double>("window p50");
@@ -612,12 +564,12 @@ StatsSnapshot decode_stats_response(std::string_view payload) {
   snap.models.reserve(n_models);
   for (std::uint32_t i = 0; i < n_models; ++i) {
     StatsSnapshot::ModelEntry e;
-    e.name = c.str(kMaxNameLen, "model name");
+    e.name = c.str<std::uint16_t>(kMaxNameLen, "model name");
     e.version = c.pod<std::uint64_t>("model version");
     e.parameters = c.pod<std::uint64_t>("model parameters");
     snap.models.push_back(std::move(e));
   }
-  c.expect_done("stats response");
+  c.expect_done("the message");
   return snap;
 }
 

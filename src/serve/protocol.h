@@ -10,14 +10,15 @@
 //   offset 9  payload `len` bytes
 //   trailer   crc32 over (type byte ‖ payload), LE uint32
 //
-// The reader follows the RNCKPT2 bounds-checked discipline: every length
-// is validated against the bytes actually present BEFORE anything is
-// allocated or read, absurd counts (name_len, n_nodes, n_links, path
-// lengths, payload lengths) are rejected with a clean ProtocolError —
-// never an abort, never an over-read — and the CRC trailer makes every
-// single-byte corruption detectable (protocol_fuzz_test flips every byte
-// and truncates at every offset to prove it). Integers are little-endian;
-// doubles are IEEE-754 binary64.
+// Decoders read through the byte layer's ByteReader (util/bytes.h), set
+// to throw ProtocolError: every length is validated against the bytes
+// actually present BEFORE anything is allocated or read, absurd counts
+// (name_len, n_nodes, n_links, path lengths, payload lengths) are
+// rejected with a clean ProtocolError — never an abort, never an
+// over-read — and the CRC trailer makes every single-byte corruption
+// detectable (protocol_fuzz_test flips every byte and truncates at every
+// offset to prove it). Integers are little-endian; doubles are IEEE-754
+// binary64.
 //
 // Message payloads:
 //   kPredictRequest   model name + a full inference scenario (topology,

@@ -5,9 +5,11 @@
 // name → model map lives behind an atomic shared_ptr snapshot, so lookups
 // are one atomic load and hot reload follows the temp+rename checkpoint
 // discipline translated to memory: load the new model off to the side,
-// validate it (RouteNet::load CRC-checks the file and the parameter
-// shapes; install() re-counts parameters), then swap the snapshot pointer
-// in one atomic store. Readers that grabbed the old snapshot — or hold an
+// validate it (RouteNet::load checks the RNMODEL4 container's length and
+// CRC-32 and the parameter shapes; install() re-counts parameters), then
+// swap the snapshot pointer in one atomic store. A corrupted or torn file
+// therefore fails the load and the old entry keeps serving (model_fuzz_test
+// proves it). Readers that grabbed the old snapshot — or hold an
 // Entry handle — finish their in-flight requests on the old model; the old
 // entry's server drains and its workers join when the last reference
 // drops. registry_soak_test hammers exactly this: clients querying at full

@@ -178,62 +178,5 @@ TEST(CheckpointFuzz, CursorIndexOutsideOrderThrows) {
   EXPECT_THROW(parse_train_checkpoint(bytes), std::runtime_error);
 }
 
-// --- Legacy RNCKPT1 parameter blocks -------------------------------------
-
-std::string valid_v1_bytes() {
-  Parameter a("layer.w", Tensor::from_rows({{1.0f, 2.0f}, {3.0f, 4.0f}}));
-  Parameter b("layer.b", Tensor::scalar(0.5f));
-  std::ostringstream out(std::ios::binary);
-  save_parameters(out, {&a, &b});
-  return out.str();
-}
-
-TEST(CheckpointFuzz, V1EveryTruncationThrows) {
-  const std::string bytes = valid_v1_bytes();
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW(parse_train_checkpoint(bytes.substr(0, len)),
-                 std::runtime_error)
-        << "v1 truncation to " << len << " bytes parsed";
-  }
-}
-
-TEST(CheckpointFuzz, V1AbsurdHeaderFieldsThrow) {
-  // name_len beyond the cap
-  std::string b1("RNCKPT1\n");
-  put_pod(b1, static_cast<std::uint32_t>(1));
-  put_pod(b1, static_cast<std::uint32_t>(0xffffffffu));
-  EXPECT_THROW(parse_train_checkpoint(b1), std::runtime_error);
-
-  // huge shape with no payload behind it
-  std::string b2("RNCKPT1\n");
-  put_pod(b2, static_cast<std::uint32_t>(1));
-  put_str(b2, "w");
-  put_pod(b2, static_cast<std::int32_t>(0x7fffffff));
-  put_pod(b2, static_cast<std::int32_t>(0x7fffffff));
-  EXPECT_THROW(parse_train_checkpoint(b2), std::runtime_error);
-
-  // negative shape
-  std::string b3("RNCKPT1\n");
-  put_pod(b3, static_cast<std::uint32_t>(1));
-  put_str(b3, "w");
-  put_pod(b3, static_cast<std::int32_t>(-5));
-  put_pod(b3, static_cast<std::int32_t>(2));
-  EXPECT_THROW(parse_train_checkpoint(b3), std::runtime_error);
-}
-
-TEST(CheckpointFuzz, V1LoadParametersRejectsAbsurdShapes) {
-  // The streaming loader (model files embed RNCKPT1 blocks) must apply the
-  // same bounds: huge claimed shapes fail against the remaining file size
-  // instead of allocating.
-  std::string bytes("RNCKPT1\n");
-  put_pod(bytes, static_cast<std::uint32_t>(1));
-  put_str(bytes, "p");
-  put_pod(bytes, static_cast<std::int32_t>(1 << 24));
-  put_pod(bytes, static_cast<std::int32_t>(1 << 24));
-  std::istringstream in(bytes, std::ios::binary);
-  Parameter p("p", Tensor::scalar(0.0f));
-  EXPECT_THROW(load_parameters(in, {&p}), std::runtime_error);
-}
-
 }  // namespace
 }  // namespace rn::ag

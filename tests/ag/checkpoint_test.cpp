@@ -134,20 +134,22 @@ TEST(Checkpoint, AtomicSaveLeavesNoTempFile) {
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
-TEST(Checkpoint, Rnckpt1ReadsAsParamsOnlyV1) {
-  Parameter a("layer.w", Tensor::from_rows({{1.0f, 2.0f}}));
-  Parameter b("layer.b", Tensor::scalar(-4.0f));
-  const std::string path = temp_path("v1_compat.ckpt");
-  save_parameters(path, {&a, &b});
-
-  const TrainCheckpoint got = load_train_checkpoint(path);
-  EXPECT_FALSE(got.has_optimizer);
-  EXPECT_FALSE(got.has_cursor);
-  EXPECT_TRUE(got.rng_streams.empty());
-  ASSERT_EQ(got.params.size(), 2u);
-  EXPECT_EQ(got.params[0].first, "layer.w");
-  expect_tensors_bitwise_equal(got.params[0].second, a.value);
-  expect_tensors_bitwise_equal(got.params[1].second, b.value);
+TEST(Checkpoint, Rnckpt1IsRejectedAsRetired) {
+  // A bare RNCKPT1 parameter block (magic, u32 count = 0) is a retired
+  // format: the one error names it instead of misreading its bytes.
+  const std::string path = temp_path("v1_retired.ckpt");
+  {
+    std::ofstream f(path, std::ios::binary);
+    f << "RNCKPT1\n";
+    f.write("\0\0\0\0", 4);
+  }
+  try {
+    (void)load_train_checkpoint(path);
+    FAIL() << "an RNCKPT1 file must not load";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("RNCKPT1"), std::string::npos) << msg;
+  }
 }
 
 TEST(Checkpoint, RotationNamesAndListsNewestFirst) {
@@ -232,6 +234,8 @@ TEST(Checkpoint, Crc32MatchesKnownVector) {
   // The classic zlib test vector: crc32("123456789") == 0xCBF43926.
   const char* s = "123456789";
   EXPECT_EQ(crc32(s, 9), 0xcbf43926u);
+  // Chaining: the CRC of a split buffer equals the CRC of the whole.
+  EXPECT_EQ(crc32(s + 5, 4, crc32(s, 5)), 0xcbf43926u);
 }
 
 }  // namespace

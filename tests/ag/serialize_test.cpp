@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,22 @@ namespace {
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
+}
+
+// Parameters round-trip through an RNCKPT2 checkpoint that holds only the
+// named-tensor block, and load by name through apply_named_tensors — the
+// path the trainer's resume and RouteNet::load share.
+void save_parameters(const std::string& path,
+                     const std::vector<Parameter*>& params) {
+  TrainCheckpoint ckpt;
+  for (const Parameter* p : params) ckpt.params.emplace_back(p->name, p->value);
+  save_train_checkpoint(path, ckpt);
+}
+
+void load_parameters(const std::string& path,
+                     const std::vector<Parameter*>& params) {
+  apply_named_tensors(load_train_checkpoint(path).params, params,
+                      "checkpoint");
 }
 
 TEST(Serialize, RoundTripPreservesValues) {

@@ -48,6 +48,22 @@ TEST(Tensor, FillConstructorAndScalar) {
   EXPECT_EQ(s.at(0, 0), -2.0f);
 }
 
+TEST(Tensor, NegativeDimensionsThrowBeforeAllocating) {
+  EXPECT_THROW(Tensor(-1, 4), std::runtime_error);
+  EXPECT_THROW(Tensor(4, -1), std::runtime_error);
+  EXPECT_THROW(Tensor(-2, -3, 1.0f), std::runtime_error);
+}
+
+TEST(Tensor, ZeroSizeTensorsWork) {
+  for (const Tensor& t : {Tensor(0, 5), Tensor(0, 5, 2.0f), Tensor(3, 0)}) {
+    EXPECT_EQ(t.size(), 0);
+    EXPECT_TRUE(t.empty());
+    const Tensor copy = t;
+    EXPECT_EQ(copy.rows(), t.rows());
+    EXPECT_EQ(copy.cols(), t.cols());
+  }
+}
+
 TEST(Tensor, FromRowsLiteral) {
   const Tensor t = Tensor::from_rows({{1.0f, 2.0f}, {3.0f, 4.0f}});
   EXPECT_EQ(t.at(0, 1), 2.0f);

@@ -10,7 +10,7 @@
 
 #include "commands.h"
 #include "core/routenet.h"
-#include "dataset/dataset.h"
+#include "dataset/stream.h"
 #include "topology/text_io.h"
 #include "traffic/text_io.h"
 
@@ -80,24 +80,24 @@ TEST_F(CliCommands, FullPipelineEndToEnd) {
             0);
   EXPECT_TRUE(std::filesystem::exists(path("sim.csv")));
 
-  ASSERT_EQ(cmd_gen_dataset(flags_of(
+  ASSERT_EQ(cmd_dataset("gen", flags_of(
                 {"--topology", path("n.topo"), "--count", "8",
                  "--pkts-per-flow", "40", "--seed", "5", "--out",
-                 path("train.ds")})),
+                 path("train.rnds")})),
             0);
   const std::vector<dataset::Sample> ds =
-      dataset::load_dataset(path("train.ds"));
+      dataset::load_shard(path("train.rnds"));
   EXPECT_EQ(ds.size(), 8u);
 
   ASSERT_EQ(cmd_train(flags_of(
-                {"--dataset", path("train.ds"), "--epochs", "3", "--dim",
+                {"--dataset", path("train.rnds"), "--epochs", "3", "--dim",
                  "8", "--iterations", "2", "--out", path("m.model")})),
             0);
   const core::RouteNet model = core::RouteNet::load(path("m.model"));
   EXPECT_EQ(model.config().link_state_dim, 8);
 
   EXPECT_EQ(cmd_eval(flags_of(
-                {"--model", path("m.model"), "--dataset", path("train.ds")})),
+                {"--model", path("m.model"), "--dataset", path("train.rnds")})),
             0);
   EXPECT_EQ(cmd_predict(flags_of(
                 {"--model", path("m.model"), "--topology", path("n.topo"),
@@ -113,16 +113,16 @@ TEST_F(CliCommands, FullPipelineEndToEnd) {
             0);
 
   EXPECT_EQ(cmd_info(flags_of({"--model", path("m.model")})), 0);
-  EXPECT_EQ(cmd_info(flags_of({"--dataset", path("train.ds")})), 0);
+  EXPECT_EQ(cmd_info(flags_of({"--dataset", path("train.rnds")})), 0);
   EXPECT_EQ(cmd_info(flags_of({"--topology", path("n.topo")})), 0);
 }
 
 TEST_F(CliCommands, GenDatasetBurstyFlag) {
-  ASSERT_EQ(cmd_gen_dataset(flags_of(
+  ASSERT_EQ(cmd_dataset("gen", flags_of(
                 {"--topology", "gbn", "--count", "2", "--pkts-per-flow",
-                 "30", "--bursty", "--out", path("b.ds")})),
+                 "30", "--bursty", "--out", path("b.rnds")})),
             0);
-  EXPECT_EQ(dataset::load_dataset(path("b.ds")).size(), 2u);
+  EXPECT_EQ(dataset::load_shard(path("b.rnds")).size(), 2u);
 }
 
 TEST_F(CliCommands, NamedTopologiesResolve) {
@@ -132,7 +132,7 @@ TEST_F(CliCommands, NamedTopologiesResolve) {
 }
 
 TEST_F(CliCommands, TrainRejectsMissingDataset) {
-  EXPECT_THROW(cmd_train(flags_of({"--dataset", path("nope.ds"), "--out",
+  EXPECT_THROW(cmd_train(flags_of({"--dataset", path("nope.rnds"), "--out",
                                    path("m.model")})),
                std::runtime_error);
 }

@@ -1,10 +1,8 @@
-// Hostile-input sweeps over both dataset containers. The legacy RNDATA1
-// blob has no checksums, so a flipped byte may still parse — but it must
-// NEVER crash, over-allocate, or read out of bounds (every outcome is
-// either a clean std::runtime_error or a structurally valid load). The
-// RNDS1 shard container is CRC-indexed end to end, so the bar is higher:
-// every truncation AND every byte flip anywhere in the file must throw.
-// Runs under -DRN_SANITIZE=address via the `asan` ctest label.
+// Hostile-input sweeps over the RNDS1 shard container and its record
+// codec. The container is CRC-indexed end to end, so every truncation AND
+// every byte flip anywhere in the file must throw; a record whose declared
+// counts exceed its bytes must throw before anything is allocated. Runs
+// under -DRN_SANITIZE=address via the `asan` ctest label.
 #include "dataset/codec.h"
 
 #include <cstdint>
@@ -36,20 +34,6 @@ std::shared_ptr<const topo::Topology> shared_ring() {
   return std::make_shared<const topo::Topology>(topo::ring(6));
 }
 
-// One small-but-real legacy dataset image, built once for the whole suite.
-const std::string& legacy_image() {
-  static const std::string bytes = [] {
-    DatasetGenerator gen(fast_config(), 51);
-    const std::vector<Sample> samples =
-        gen.generate_many(shared_ring(), 2);
-    std::string out(kDatasetMagic, kDatasetMagicLen);
-    put_pod(out, static_cast<std::uint32_t>(samples.size()));
-    for (const Sample& s : samples) encode_sample(out, s);
-    return out;
-  }();
-  return bytes;
-}
-
 // One small-but-real RNDS1 shard image.
 const std::string& shard_image() {
   static const std::string bytes = [] {
@@ -62,58 +46,31 @@ const std::string& shard_image() {
   return bytes;
 }
 
-TEST(LegacyFuzz, ImageIsValidBaseline) {
-  EXPECT_EQ(parse_dataset_bytes(legacy_image(), "baseline").size(), 2u);
+TEST(ShardFuzz, ImageIsValidBaseline) {
   verify_shard_bytes(shard_image(), "baseline");
 }
 
-TEST(LegacyFuzz, EveryTruncationThrows) {
-  const std::string& bytes = legacy_image();
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW(
-        parse_dataset_bytes(std::string_view(bytes.data(), len), "trunc"),
-        std::runtime_error)
-        << "prefix of " << len << " bytes parsed";
-  }
-}
-
-TEST(LegacyFuzz, EveryByteFlipNeverCrashes) {
-  // No checksums in RNDATA1: a flip may survive validation (e.g. in a
-  // float payload). Both outcomes are fine; crashing / sanitizer faults
-  // are not — which is exactly what this sweep exists to prove.
-  std::string bytes = legacy_image();
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    const char orig = bytes[i];
-    bytes[i] = static_cast<char>(orig ^ 0xff);
-    try {
-      const std::vector<Sample> loaded = parse_dataset_bytes(bytes, "flip");
-      EXPECT_LE(loaded.size(), 2u);
-    } catch (const std::runtime_error&) {
-    }
-    bytes[i] = orig;
-  }
-}
-
-TEST(LegacyFuzz, AbsurdDeclaredCountsThrowBeforeAllocating) {
-  // Sample count claims 4 billion records in a few-KB file.
-  std::string bytes = legacy_image();
+TEST(RecordFuzz, AbsurdDeclaredCountsThrowBeforeAllocating) {
+  DatasetGenerator gen(fast_config(), 51);
+  std::string record;
+  encode_sample(record, gen.generate(shared_ring()));
   const std::uint32_t huge = 0xffffffffu;
-  std::memcpy(bytes.data() + kDatasetMagicLen, &huge, sizeof(huge));
-  EXPECT_THROW(parse_dataset_bytes(bytes, "huge-count"), std::runtime_error);
 
-  // First record's name_len claims more bytes than the file holds.
-  bytes = legacy_image();
-  std::memcpy(bytes.data() + kDatasetMagicLen + 4, &huge, sizeof(huge));
-  EXPECT_THROW(parse_dataset_bytes(bytes, "huge-name"), std::runtime_error);
-}
+  // The topology name length claims more bytes than the record holds.
+  std::string bytes = record;
+  std::memcpy(bytes.data(), &huge, sizeof(huge));
+  ByteReader name_in(bytes, "huge-name");
+  EXPECT_THROW(decode_sample(name_in), std::runtime_error);
 
-TEST(LegacyFuzz, BadMagicAndEmptyInputThrow) {
-  EXPECT_THROW(parse_dataset_bytes("", "empty"), std::runtime_error);
-  EXPECT_THROW(parse_dataset_bytes("RNDATA2\n\0\0\0\0", "magic"),
-               std::runtime_error);
-  std::string bytes = legacy_image();
-  bytes[0] = 'X';
-  EXPECT_THROW(parse_dataset_bytes(bytes, "flip-magic"), std::runtime_error);
+  // The link count (after u32 name_len + name + i32 nodes) claims 2^31-1
+  // links.
+  bytes = record;
+  const std::size_t links_at = 4 + shared_ring()->name().size() + 4;
+  const std::int32_t many = 0x7fffffff;
+  ASSERT_LT(links_at + sizeof(many), bytes.size());
+  std::memcpy(bytes.data() + links_at, &many, sizeof(many));
+  ByteReader links_in(bytes, "huge-links");
+  EXPECT_THROW(decode_sample(links_in), std::runtime_error);
 }
 
 TEST(ShardFuzz, EveryTruncationThrows) {
@@ -189,7 +146,6 @@ TEST(ShardFuzz, ShardReaderRejectsGarbageFiles) {
     out << "this is not a shard";
   }
   EXPECT_THROW(ShardReader reader(garbage), std::runtime_error);
-  EXPECT_FALSE(is_shard_file(garbage));
 }
 
 }  // namespace

@@ -2,11 +2,11 @@
 # real routenet CLI through the paper-scale generation workflow — four
 # independent `dataset gen --shard i/4` runs, `dataset verify`, `dataset
 # merge` — and proves the merged file is byte-for-byte identical to one
-# unsharded run. Then trains once from the streamed RNDS1 corpus and once
-# from the equivalent legacy RNDATA1 blob and byte-compares the models,
-# checking the dataset.stream.* telemetry along the way. Finally corrupts a
-# shard and demands `dataset verify` fail. Invoked with -DRN_CLI=<binary>
-# -DWORK_DIR=<dir>.
+# unsharded run. Then trains from the merged corpus at 1 and 4 threads and
+# byte-compares the models, checking the dataset.stream.* telemetry along
+# the way. Finally corrupts a shard and demands `dataset verify` fail, and
+# checks that the retired `gen-dataset` verb is an unknown command. Invoked
+# with -DRN_CLI=<binary> -DWORK_DIR=<dir>.
 
 if(NOT DEFINED RN_CLI OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "usage: cmake -DRN_CLI=... -DWORK_DIR=... -P dataset_shard_smoke.cmake")
@@ -62,17 +62,15 @@ run_step("${RN_CLI}" dataset merge
          --out merged.rnds)
 expect_identical(single.rnds merged.rnds "4-shard merge vs unsharded run")
 
-# The legacy generator with the same seed/config produces the same samples
-# in the RNDATA1 container; streamed training over the shard must land on
-# the same model bytes as in-RAM training over the blob.
-run_step("${RN_CLI}" gen-dataset --topology net.topo --count 8 --seed 5
-         --pkts-per-flow 30 --out legacy.ds)
-run_step("${RN_CLI}" train --dataset legacy.ds --epochs 1 --batch 4 --dim 8
-         --iterations 2 --threads 1 --out inram.model)
+# Streamed training is thread-count invariant: the model trained on the
+# unsharded file at 1 thread equals the one trained on the merged file at
+# 4 threads, byte for byte.
+run_step("${RN_CLI}" train --dataset single.rnds --epochs 1 --batch 4 --dim 8
+         --iterations 2 --threads 1 --out single.model)
 run_step("${RN_CLI}" train --dataset merged.rnds --epochs 1 --batch 4 --dim 8
-         --iterations 2 --threads 1 --out streamed.model
+         --iterations 2 --threads 4 --out streamed.model
          --metrics-out streamed.jsonl)
-expect_identical(inram.model streamed.model "streamed vs in-RAM training")
+expect_identical(single.model streamed.model "streamed training, 1 vs 4 threads")
 
 # The streamed run must report its residency telemetry.
 file(READ "${WORK_DIR}/streamed.jsonl" stream_log)
@@ -107,5 +105,14 @@ expect_fail("${RN_CLI}" dataset merge
             --out merged2.rnds)
 # An incomplete shard set must also be rejected.
 expect_fail("${RN_CLI}" dataset verify --inputs shard_0.rnds,shard_1.rnds)
+
+# The RNDATA1 generator verb is retired: an unknown command exits 2.
+execute_process(COMMAND "${RN_CLI}" gen-dataset --topology net.topo --count 1
+                        --out legacy.ds
+                WORKING_DIRECTORY "${WORK_DIR}"
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "gen-dataset must be an unknown command (rc 2), got ${rc}")
+endif()
 
 message(STATUS "dataset shard smoke OK")

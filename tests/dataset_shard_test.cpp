@@ -278,27 +278,6 @@ TEST(StreamingTrainer, ResidentCapRejectsOversizedBatch) {
   EXPECT_THROW(stream.materialize(&idx, 1, out), std::runtime_error);
 }
 
-TEST(LoadAnyDataset, ReadsBothContainers) {
-  const GeneratorConfig cfg = fast_config();
-  const auto topology = shared_ring();
-  DatasetGenerator gen(cfg, 45);
-  const std::vector<Sample> samples = gen.generate_many(topology, 2);
-  const std::string legacy = ::testing::TempDir() + "any_legacy.ds";
-  const std::string shard = ::testing::TempDir() + "any_shard.rnds";
-  save_dataset(legacy, samples);
-  generate_shard(shard, cfg, 45, topology, 2, 0, 1);
-  EXPECT_FALSE(is_shard_file(legacy));
-  EXPECT_TRUE(is_shard_file(shard));
-  const std::vector<Sample> from_legacy = load_any_dataset(legacy);
-  const std::vector<Sample> from_shard = load_any_dataset(shard);
-  ASSERT_EQ(from_legacy.size(), 2u);
-  ASSERT_EQ(from_shard.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(from_legacy[i].delay_s, from_shard[i].delay_s);
-    EXPECT_EQ(from_legacy[i].valid, from_shard[i].valid);
-  }
-}
-
 TEST(StreamingNormalizer, MatchesVectorFit) {
   const GeneratorConfig cfg = fast_config();
   const auto topology = shared_ring();

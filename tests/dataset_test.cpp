@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dataset/stream.h"
 #include "topology/generators.h"
 
 namespace rn::dataset {
@@ -21,6 +22,14 @@ GeneratorConfig fast_config() {
 
 std::shared_ptr<const topo::Topology> shared_nsfnet() {
   return std::make_shared<const topo::Topology>(topo::nsfnet());
+}
+
+// Writes `samples` as one RNDS1 shard.
+void write_shard(const std::string& path,
+                 const std::vector<Sample>& samples) {
+  ShardWriter writer(path, ShardHeader{});
+  for (const Sample& s : samples) writer.add(s);
+  writer.finish();
 }
 
 TEST(DatasetGenerator, SampleShapeAndValidity) {
@@ -87,16 +96,16 @@ TEST(DatasetGenerator, GenerateRangeMatchesGenerateMany) {
 }
 
 TEST(Serialization, SaveIsAtomic) {
-  // save_dataset goes through temp + rename: no *.tmp litter afterwards,
+  // ShardWriter goes through temp + rename: no *.tmp litter afterwards,
   // and an existing file is replaced wholesale, never torn.
   DatasetGenerator gen(fast_config(), 22);
   const std::vector<Sample> samples = gen.generate_many(shared_nsfnet(), 1);
-  const std::string path = ::testing::TempDir() + "atomic_ds.bin";
-  save_dataset(path, samples);
-  save_dataset(path, samples);  // overwrite must also succeed
+  const std::string path = ::testing::TempDir() + "atomic_ds.rnds";
+  write_shard(path, samples);
+  write_shard(path, samples);  // overwrite must also succeed
   std::ifstream tmp(path + ".tmp");
   EXPECT_FALSE(tmp.good());
-  EXPECT_EQ(load_dataset(path).size(), 1u);
+  EXPECT_EQ(load_shard(path).size(), 1u);
 }
 
 TEST(DatasetGenerator, UtilizationStaysInConfiguredRange) {
@@ -223,9 +232,9 @@ TEST(SplitDataset, DeterministicForSeed) {
 TEST(Serialization, RoundTripPreservesSamples) {
   DatasetGenerator gen(fast_config(), 10);
   const std::vector<Sample> samples = gen.generate_many(shared_nsfnet(), 2);
-  const std::string path = ::testing::TempDir() + "ds.bin";
-  save_dataset(path, samples);
-  const std::vector<Sample> loaded = load_dataset(path);
+  const std::string path = ::testing::TempDir() + "ds.rnds";
+  write_shard(path, samples);
+  const std::vector<Sample> loaded = load_shard(path);
   ASSERT_EQ(loaded.size(), samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
     EXPECT_EQ(loaded[i].delay_s, samples[i].delay_s);
@@ -243,7 +252,7 @@ TEST(Serialization, RoundTripPreservesSamples) {
 }
 
 TEST(Serialization, MissingFileThrows) {
-  EXPECT_THROW(load_dataset("/nonexistent/ds.bin"), std::runtime_error);
+  EXPECT_THROW(load_shard("/nonexistent/ds.rnds"), std::runtime_error);
 }
 
 TEST(GeneratorConfig, RejectsBadUtilizationRange) {

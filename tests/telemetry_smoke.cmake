@@ -32,9 +32,9 @@ run_step("${RN_CLI}" simulate --topology net.topo --routing net.routes
          --traffic net.traffic --pkts-per-flow 40 --metrics-out sim.jsonl)
 
 # Trainer telemetry: per-batch and per-epoch events.
-run_step("${RN_CLI}" gen-dataset --topology net.topo --count 4
-         --pkts-per-flow 30 --seed 5 --out mini.ds)
-run_step("${RN_CLI}" train --dataset mini.ds --epochs 2 --batch 2 --dim 8
+run_step("${RN_CLI}" dataset gen --topology net.topo --count 4
+         --pkts-per-flow 30 --seed 5 --out mini.rnds)
+run_step("${RN_CLI}" train --dataset mini.rnds --epochs 2 --batch 2 --dim 8
          --iterations 2 --out mini.model --metrics-out train.jsonl)
 
 # `obs summarize` re-parses every line and fails on the first malformed one.

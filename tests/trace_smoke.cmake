@@ -40,13 +40,13 @@ run_step("${RN_CLI}" make-topology --kind ring --nodes 6 --out net.topo)
 
 # Dataset generation: parallel_for chunks must nest under generate_many even
 # on the 1-thread inline path (the CI container is single-core).
-run_step("${RN_CLI}" gen-dataset --topology net.topo --count 4
-         --pkts-per-flow 30 --seed 5 --out mini.ds --trace-out gen.trace.json)
+run_step("${RN_CLI}" dataset gen --topology net.topo --count 4
+         --pkts-per-flow 30 --seed 5 --out mini.rnds --trace-out gen.trace.json)
 expect_spans(gen.trace.json
              dataset.generate_many par.chunk dataset.sample sim.run)
 
 # Training: epoch -> batch -> forward/backward/optimizer hierarchy.
-run_step("${RN_CLI}" train --dataset mini.ds --epochs 2 --batch 2 --dim 8
+run_step("${RN_CLI}" train --dataset mini.rnds --epochs 2 --batch 2 --dim 8
          --iterations 2 --out mini.model --trace-out train.trace.json)
 expect_spans(train.trace.json
              trainer.fit trainer.epoch trainer.batch trainer.forward
@@ -55,7 +55,7 @@ expect_spans(train.trace.json
 # Span filtering: the same training run with a high min-duration threshold
 # must export a strictly smaller trace, and `obs trace` must disclose the
 # suppressed spans so the filtered file stays honest.
-run_step("${RN_CLI}" train --dataset mini.ds --epochs 2 --batch 2 --dim 8
+run_step("${RN_CLI}" train --dataset mini.rnds --epochs 2 --batch 2 --dim 8
          --iterations 2 --out mini2.model
          --trace-out filtered.trace.json --trace-min-us 500)
 file(SIZE "${WORK_DIR}/train.trace.json" full_size)

@@ -36,10 +36,16 @@ void* operator new(std::size_t size) {
   return p;
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: once inlined into a std:: container, GCC pairs the free()
+// with the container's operator new call and warns of a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace rn::obs {
 namespace {
@@ -110,7 +116,9 @@ TEST_F(TraceTest, ExplicitParentWinsOverThreadStack) {
   a.end();
   const std::vector<TraceRecord> records = Tracer::global().collect();
   for (const TraceRecord& r : records) {
-    if (std::string(r.name) == "b") EXPECT_EQ(r.parent, 12345u);
+    if (std::string(r.name) == "b") {
+      EXPECT_EQ(r.parent, 12345u);
+    }
   }
 }
 

@@ -210,39 +210,6 @@ int cmd_simulate(const Flags& flags) {
   return 0;
 }
 
-int cmd_gen_dataset(const Flags& flags) {
-  auto topology = resolve_topology(flags.require_string("topology"),
-                                   flags.get_seed("seed", 1));
-  dataset::GeneratorConfig cfg;
-  cfg.k_paths = flags.get_int("k", 3);
-  cfg.min_util = flags.get_double("min-util", 0.3);
-  cfg.max_util = flags.get_double("max-util", 0.8);
-  cfg.target_pkts_per_flow = flags.get_double("pkts-per-flow", 100.0);
-  cfg.model = traffic_model_from(flags);
-  const std::int64_t count = flags.get_int64("count", 50);
-  RN_CHECK(count >= 0, "negative sample count");
-  const std::uint64_t seed = flags.get_seed("seed", 1);
-  const std::string out = flags.require_string("out");
-  flags.reject_unused();
-
-  dataset::DatasetGenerator gen(cfg, seed);
-  const std::vector<dataset::Sample> samples = gen.generate_many(
-      topology, static_cast<std::uint64_t>(count),
-      [](std::uint64_t i, std::uint64_t n) {
-        if (i % 10 == 0 || i == n) {
-          std::printf("  %llu/%llu\n",
-                      static_cast<unsigned long long>(i),
-                      static_cast<unsigned long long>(n));
-          std::fflush(stdout);
-        }
-      });
-  dataset::save_dataset(out, samples);
-  std::printf("%lld samples on %s -> %s\n",
-              static_cast<long long>(count), topology->name().c_str(),
-              out.c_str());
-  return 0;
-}
-
 namespace {
 
 // "--shard I/N": 0-based shard index out of N processes.
@@ -284,10 +251,8 @@ std::vector<std::string> split_comma_paths(const std::string& csv) {
 
 int cmd_dataset(const std::string& sub, const Flags& flags) {
   if (sub == "gen") {
-    // Flags mirror gen-dataset exactly, so `dataset gen` with the same
-    // seed/config produces the same samples the legacy command does —
-    // just in the RNDS1 container, and only the index range this shard
-    // owns. --count is the TOTAL corpus size across all shards.
+    // Writes the index range this shard owns; --count is the TOTAL corpus
+    // size across all shards.
     auto topology = resolve_topology(flags.require_string("topology"),
                                      flags.get_seed("seed", 1));
     dataset::GeneratorConfig cfg;
@@ -371,22 +336,12 @@ int cmd_dataset(const std::string& sub, const Flags& flags) {
 }
 
 int cmd_train(const Flags& flags) {
-  const std::string train_path = flags.require_string("dataset");
-  // RNDS1 shards stream from disk through the mmap-backed source — the
-  // corpus never has to fit in RAM; legacy RNDATA1 blobs (no record
-  // index) load fully, exactly as before.
-  const bool streamed = dataset::is_shard_file(train_path);
-  std::vector<dataset::Sample> train_vec;
-  std::unique_ptr<dataset::SampleSource> source;
-  if (streamed) {
-    source = std::make_unique<dataset::StreamingDataset>(train_path);
-  } else {
-    train_vec = dataset::load_dataset(train_path);
-    source = std::make_unique<dataset::VectorSampleSource>(train_vec);
-  }
+  // The training corpus streams from disk through the mmap-backed source,
+  // so it never has to fit in RAM.
+  dataset::StreamingDataset source(flags.require_string("dataset"));
   std::vector<dataset::Sample> eval_set;
   if (flags.has("eval")) {
-    eval_set = dataset::load_any_dataset(flags.require_string("eval"));
+    eval_set = dataset::load_shard(flags.require_string("eval"));
   }
   core::RouteNetConfig mcfg;
   mcfg.link_state_dim = flags.get_int("dim", 32);
@@ -413,12 +368,12 @@ int cmd_train(const Flags& flags) {
   flags.reject_unused();
 
   core::RouteNet model(mcfg);
-  std::printf("training on %llu samples%s (%zu parameters)...\n",
-              static_cast<unsigned long long>(source->size()),
-              streamed ? " [streamed]" : "", model.num_parameters());
+  std::printf("training on %llu samples [streamed] (%zu parameters)...\n",
+              static_cast<unsigned long long>(source.size()),
+              model.num_parameters());
   core::Trainer trainer(model, tcfg);
   const core::TrainReport report =
-      trainer.fit(*source, eval_set.empty() ? nullptr : &eval_set);
+      trainer.fit(source, eval_set.empty() ? nullptr : &eval_set);
   if (report.interrupted) {
     if (tcfg.state_path.empty()) {
       std::printf("training interrupted; no --ckpt-state was set, so no "
@@ -443,7 +398,7 @@ int cmd_eval(const Flags& flags) {
   const core::RouteNet model =
       core::RouteNet::load(flags.require_string("model"));
   const std::vector<dataset::Sample> samples =
-      dataset::load_any_dataset(flags.require_string("dataset"));
+      dataset::load_shard(flags.require_string("dataset"));
   flags.reject_unused();
   const eval::PairedSeries series = eval::collect_delay_pairs(
       samples,
@@ -984,55 +939,37 @@ int cmd_info(const Flags& flags) {
   if (flags.has("dataset")) {
     const std::string path = flags.require_string("dataset");
     flags.reject_unused();
-    if (dataset::is_shard_file(path)) {
-      // Stream the stats: one decoded sample resident at a time, so info
-      // works on corpora that don't fit in RAM.
-      dataset::ShardReader reader(path);
-      const dataset::ShardHeader& h = reader.header();
-      RN_CHECK(reader.size() > 0, "dataset is empty");
-      Welford delays;
-      std::string topo_name;
-      int topo_nodes = 0;
-      for (std::uint64_t i = 0; i < reader.size(); ++i) {
-        const dataset::Sample s = reader.sample(i);
-        if (i == 0) {
-          topo_name = s.topology->name();
-          topo_nodes = s.topology->num_nodes();
-        }
-        for (int idx = 0; idx < s.num_pairs(); ++idx) {
-          if (s.valid[static_cast<std::size_t>(idx)]) {
-            delays.add(s.delay_s[static_cast<std::size_t>(idx)]);
-          }
-        }
-      }
-      std::printf(
-          "RNDS1 shard %u/%u: %llu samples (global [%llu, %llu)) on %s "
-          "(%d nodes), seed %llu, %llu bytes\n",
-          h.shard_index, h.shard_count,
-          static_cast<unsigned long long>(h.count),
-          static_cast<unsigned long long>(h.first_index),
-          static_cast<unsigned long long>(h.first_index + h.count),
-          topo_name.c_str(), topo_nodes,
-          static_cast<unsigned long long>(h.seed),
-          static_cast<unsigned long long>(reader.file_bytes()));
-      std::printf("%zu valid paths, mean delay %.3f ms\n", delays.count(),
-                  delays.mean() * 1e3);
-      return 0;
-    }
-    const std::vector<dataset::Sample> samples = dataset::load_dataset(path);
-    RN_CHECK(!samples.empty(), "dataset is empty");
+    // Stream the stats: one decoded sample resident at a time, so info
+    // works on corpora that don't fit in RAM.
+    dataset::ShardReader reader(path);
+    const dataset::ShardHeader& h = reader.header();
+    RN_CHECK(reader.size() > 0, "dataset is empty");
     Welford delays;
-    for (const dataset::Sample& s : samples) {
+    std::string topo_name;
+    int topo_nodes = 0;
+    for (std::uint64_t i = 0; i < reader.size(); ++i) {
+      const dataset::Sample s = reader.sample(i);
+      if (i == 0) {
+        topo_name = s.topology->name();
+        topo_nodes = s.topology->num_nodes();
+      }
       for (int idx = 0; idx < s.num_pairs(); ++idx) {
         if (s.valid[static_cast<std::size_t>(idx)]) {
           delays.add(s.delay_s[static_cast<std::size_t>(idx)]);
         }
       }
     }
-    std::printf("dataset: %zu samples on %s (%d nodes); %zu valid paths, "
-                "mean delay %.3f ms\n",
-                samples.size(), samples.front().topology->name().c_str(),
-                samples.front().topology->num_nodes(), delays.count(),
+    std::printf(
+        "RNDS1 shard %u/%u: %llu samples (global [%llu, %llu)) on %s "
+        "(%d nodes), seed %llu, %llu bytes\n",
+        h.shard_index, h.shard_count,
+        static_cast<unsigned long long>(h.count),
+        static_cast<unsigned long long>(h.first_index),
+        static_cast<unsigned long long>(h.first_index + h.count),
+        topo_name.c_str(), topo_nodes,
+        static_cast<unsigned long long>(h.seed),
+        static_cast<unsigned long long>(reader.file_bytes()));
+    std::printf("%zu valid paths, mean delay %.3f ms\n", delays.count(),
                 delays.mean() * 1e3);
     return 0;
   }

@@ -25,11 +25,6 @@ int cmd_make_traffic(const Flags& flags);
 // [--bursty] [--out CSV]
 int cmd_simulate(const Flags& flags);
 
-// Generates a labeled dataset: --topology FILE|nsfnet|geant2|gbn
-// --count N [--seed S] [--k K] [--min-util U] [--max-util U]
-// [--pkts-per-flow N] [--bursty] --out FILE
-int cmd_gen_dataset(const Flags& flags);
-
 // Sharded RNDS1 corpus pipeline (subcommand is argv[2]):
 //   dataset gen    --topology SPEC --count TOTAL [--shard I/N] [--seed S]
 //                  [--k K] [--min-util U] [--max-util U] [--pkts-per-flow P]
@@ -44,7 +39,7 @@ int cmd_dataset(const std::string& sub, const Flags& flags);
 
 // Trains RouteNet: --dataset FILE [--eval FILE] [--epochs N] [--batch N]
 // [--lr F] [--dim N] [--iterations N] [--seed S] --out MODEL.
-// An RNDS1 --dataset streams from disk (mmap) instead of loading into RAM.
+// The RNDS1 --dataset streams from disk (mmap) instead of loading into RAM.
 int cmd_train(const Flags& flags);
 
 // Evaluates a model on a dataset: --model FILE --dataset FILE

@@ -6,11 +6,12 @@
 //                          --kind gravity --util 0.7 --out net.traffic
 //   routenet simulate      --topology net.topo --routing net.routes
 //                          --traffic net.traffic --out sim.csv
-//   routenet gen-dataset   --topology nsfnet --count 100 --out train.ds
-//   routenet train         --dataset train.ds --eval eval.ds --out net.model
+//   routenet dataset gen   --topology nsfnet --count 100 --out train.rnds
+//   routenet train         --dataset train.rnds --eval eval.rnds
+//                          --out net.model
 //                          [--ckpt-state run.ckpt --ckpt-every 50
 //                           --ckpt-keep 3 --resume run.ckpt]
-//   routenet eval          --model net.model --dataset eval.ds
+//   routenet eval          --model net.model --dataset eval.rnds
 //   routenet predict       --model net.model --topology net.topo
 //                          --routing net.routes --traffic net.traffic --top 10
 //   routenet whatif        --model net.model --topology net.topo
@@ -44,8 +45,7 @@ int usage() {
       "  make-routing   derive a (k-)shortest-path routing file\n"
       "  make-traffic   draw a traffic matrix at a target utilization\n"
       "  simulate       run the packet-level simulator on a scenario\n"
-      "  gen-dataset    generate a labeled training/eval dataset\n"
-      "  dataset        sharded RNDS1 corpus pipeline:\n"
+      "  dataset        labeled RNDS1 corpus pipeline:\n"
       "                 `dataset gen --count TOTAL --shard I/N --out F`\n"
       "                 generates exactly the index range shard I of N\n"
       "                 owns (CRC-indexed, atomically written; N merged\n"
@@ -54,7 +54,7 @@ int usage() {
       "                 header coherence + every record CRC;\n"
       "                 `dataset merge --inputs a,b,... --out F` combines\n"
       "                 a complete shard set. `train --dataset F` streams\n"
-      "                 RNDS1 files from disk instead of loading them\n"
+      "                 the corpus from disk\n"
       "  train          train RouteNet on a dataset; --ckpt-state BASE +\n"
       "                 --ckpt-every N checkpoint full training state\n"
       "                 (params, Adam moments, RNG streams, cursor) with\n"
@@ -158,7 +158,6 @@ int main(int argc, char** argv) {
       if (cmd == "make-routing") return rn::cli::cmd_make_routing(flags);
       if (cmd == "make-traffic") return rn::cli::cmd_make_traffic(flags);
       if (cmd == "simulate") return rn::cli::cmd_simulate(flags);
-      if (cmd == "gen-dataset") return rn::cli::cmd_gen_dataset(flags);
       if (cmd == "train") return rn::cli::cmd_train(flags);
       if (cmd == "eval") return rn::cli::cmd_eval(flags);
       if (cmd == "predict") return rn::cli::cmd_predict(flags);
