@@ -343,16 +343,18 @@ int run_backend_report() {
     // The acceptance gate: avx2 ≥ 1.5x scalar on the nn matmul. Measured
     // as the median of interleaved scalar/avx2 pairs — pairing cancels the
     // clock drift and scheduler noise that two separately-timed sweeps
-    // pick up (this also runs under a parallel ctest).
+    // pick up (this also runs under a parallel ctest). Nine pairs of
+    // five-call medians: a 512x16x16 call takes tens of microseconds, so
+    // fewer samples let one busy stretch of a shared host set the median.
     if (shape.nn[1] > 0.0) {
       std::vector<double> ratios;
-      for (int rep = 0; rep < 5; ++rep) {
+      for (int rep = 0; rep < 9; ++rep) {
         kern::set_kernel_backend(kern::Backend::kScalar);
         const double ts =
-            median_time_s([&] { return rn::ag::matmul(a, b); }, 3);
+            median_time_s([&] { return rn::ag::matmul(a, b); }, 5);
         kern::set_kernel_backend(kern::Backend::kAvx2);
         const double tv =
-            median_time_s([&] { return rn::ag::matmul(a, b); }, 3);
+            median_time_s([&] { return rn::ag::matmul(a, b); }, 5);
         ratios.push_back(tv > 0.0 ? ts / tv : 0.0);
       }
       std::sort(ratios.begin(), ratios.end());

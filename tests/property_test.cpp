@@ -2,6 +2,7 @@
 // models, topologies, sizes, and seeds (TEST_P / INSTANTIATE_TEST_SUITE_P).
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -106,6 +107,13 @@ struct RoutingCase {
   const char* name;
   int k;
 };
+
+// Without this gtest prints a RoutingCase as its raw bytes — the name
+// pointer (moved by every rebuild and by ASLR) and the padding — and
+// gtest_discover_tests bakes that into the ctest test names.
+void PrintTo(const RoutingCase& c, std::ostream* os) {
+  *os << c.name << " k=" << c.k;
+}
 
 class RoutingSweep : public ::testing::TestWithParam<RoutingCase> {
  protected:
