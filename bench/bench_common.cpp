@@ -145,10 +145,13 @@ std::shared_ptr<const topo::Topology> geant2_topology() {
 
 namespace {
 
+// Each cached set is samples [first_index, first_index + count) of its
+// generator, fixed at the offset a cold run reaches — so which sets were
+// already cached never changes the samples of the ones generated now.
 std::vector<dataset::Sample> load_or_generate(
-    const std::string& path, dataset::DatasetGenerator& gen,
-    std::shared_ptr<const topo::Topology> topology, int count,
-    const char* label) {
+    const std::string& path, const dataset::DatasetGenerator& gen,
+    std::shared_ptr<const topo::Topology> topology, int first_index,
+    int count, const char* label) {
   if (std::filesystem::exists(path)) {
     std::printf("  [cache] %-18s <- %s\n", label, path.c_str());
     return dataset::load_shard(path);
@@ -159,8 +162,9 @@ std::vector<dataset::Sample> load_or_generate(
   header.seed = gen.seed();
   header.config_fingerprint =
       dataset::config_fingerprint(gen.config(), *topology);
-  std::vector<dataset::Sample> samples =
-      gen.generate_many(std::move(topology), count);
+  std::vector<dataset::Sample> samples = gen.generate_range(
+      std::move(topology), static_cast<std::uint64_t>(first_index),
+      static_cast<std::uint64_t>(count));
   dataset::ShardWriter writer(path, header);
   for (const dataset::Sample& s : samples) writer.add(s);
   writer.finish();
@@ -175,18 +179,21 @@ PaperSetup load_or_train_paper_setup(const ExperimentScale& scale) {
   const std::string model_path = dir + "/routenet" + tag + ".model";
 
   dataset::GeneratorConfig gcfg = paper_generator_config(scale);
-  dataset::DatasetGenerator train_gen(gcfg, 101);
-  dataset::DatasetGenerator eval_gen(gcfg, 202);
+  const dataset::DatasetGenerator train_gen(gcfg, 101);
+  const dataset::DatasetGenerator eval_gen(gcfg, 202);
 
   std::printf("== RouteNet paper setup (scale: %s) ==\n", scale.name.c_str());
   PaperSetup setup{
       core::RouteNet(paper_model_config()),
       load_or_generate(dir + "/eval_nsfnet" + tag + ".rnds", eval_gen,
-                       nsfnet_topology(), scale.eval_nsfnet, "eval-NSFNET"),
+                       nsfnet_topology(), 0, scale.eval_nsfnet,
+                       "eval-NSFNET"),
       load_or_generate(dir + "/eval_syn50" + tag + ".rnds", eval_gen,
-                       syn50_topology(), scale.eval_syn50, "eval-50node"),
+                       syn50_topology(), scale.eval_nsfnet, scale.eval_syn50,
+                       "eval-50node"),
       load_or_generate(dir + "/eval_geant2" + tag + ".rnds", eval_gen,
-                       geant2_topology(), scale.eval_geant2, "eval-Geant2"),
+                       geant2_topology(), scale.eval_nsfnet + scale.eval_syn50,
+                       scale.eval_geant2, "eval-Geant2"),
   };
 
   if (std::filesystem::exists(model_path)) {
@@ -202,11 +209,12 @@ PaperSetup load_or_train_paper_setup(const ExperimentScale& scale) {
 
   std::vector<dataset::Sample> train =
       load_or_generate(dir + "/train_nsfnet" + tag + ".rnds", train_gen,
-                       nsfnet_topology(), scale.train_nsfnet, "train-NSFNET");
+                       nsfnet_topology(), 0, scale.train_nsfnet,
+                       "train-NSFNET");
   {
-    std::vector<dataset::Sample> syn =
-        load_or_generate(dir + "/train_syn50" + tag + ".rnds", train_gen,
-                         syn50_topology(), scale.train_syn50, "train-50node");
+    std::vector<dataset::Sample> syn = load_or_generate(
+        dir + "/train_syn50" + tag + ".rnds", train_gen, syn50_topology(),
+        scale.train_nsfnet, scale.train_syn50, "train-50node");
     for (dataset::Sample& s : syn) train.push_back(std::move(s));
   }
 

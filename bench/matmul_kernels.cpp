@@ -10,8 +10,8 @@
 //      scatter / segment_sum / scale_rows family, and the fused-vs-composed
 //      GRU step — written to BENCH_kernels.json in the bench cache. Under
 //      RN_BENCH_ENFORCE the report is also a gate: the avx2 backend must be
-//      ≥1.5x scalar on the nn matmul at paper shapes and must produce
-//      bitwise-identical results.
+//      ≥1.5x scalar on each of the nn, tn and nt matmuls at paper shapes and
+//      must produce bitwise-identical results.
 //   3. The google-benchmark tables (skipped at RN_BENCH_SCALE=smoke, where
 //      only the guard + report run so CI stays seconds-scale).
 //
@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -262,7 +263,10 @@ struct ShapeReport {
   double nn[3] = {-1, -1, -1};
   double tn[3] = {-1, -1, -1};
   double nt[3] = {-1, -1, -1};
-  double nn_speedup = -1;  // paired avx2/scalar median, -1 = no avx2
+  // Paired avx2/scalar medians, -1 = no avx2.
+  double nn_speedup = -1;
+  double tn_speedup = -1;
+  double nt_speedup = -1;
 };
 
 constexpr kern::Backend kBackends[] = {
@@ -283,6 +287,25 @@ Tensor gru_once(const rn::ag::GruCell& cell, const Tensor& x, const Tensor& h,
   const rn::ag::ValueId out =
       cell.step(tape, tape.constant(x), tape.constant(h));
   return tape.value(out);
+}
+
+// avx2/scalar speed ratio of one kernel call, as the median of
+// interleaved scalar/avx2 pairs — pairing cancels the clock drift and
+// scheduler noise that two separately-timed sweeps pick up (this also runs
+// under a parallel ctest). Nine pairs of five-call medians: a 512x16x16
+// call takes tens of microseconds, so fewer samples let one busy stretch of
+// a shared host set the median.
+double paired_avx2_speedup(const std::function<Tensor()>& run) {
+  std::vector<double> ratios;
+  for (int rep = 0; rep < 9; ++rep) {
+    kern::set_kernel_backend(kern::Backend::kScalar);
+    const double ts = median_time_s(run, 5);
+    kern::set_kernel_backend(kern::Backend::kAvx2);
+    const double tv = median_time_s(run, 5);
+    ratios.push_back(tv > 0.0 ? ts / tv : 0.0);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[ratios.size() / 2];
 }
 
 int run_backend_report() {
@@ -340,30 +363,26 @@ int run_backend_report() {
         }
       }
     }
-    // The acceptance gate: avx2 ≥ 1.5x scalar on the nn matmul. Measured
-    // as the median of interleaved scalar/avx2 pairs — pairing cancels the
-    // clock drift and scheduler noise that two separately-timed sweeps
-    // pick up (this also runs under a parallel ctest). Nine pairs of
-    // five-call medians: a 512x16x16 call takes tens of microseconds, so
-    // fewer samples let one busy stretch of a shared host set the median.
+    // The acceptance gate: avx2 ≥ 1.5x scalar on every matmul shape.
     if (shape.nn[1] > 0.0) {
-      std::vector<double> ratios;
-      for (int rep = 0; rep < 9; ++rep) {
-        kern::set_kernel_backend(kern::Backend::kScalar);
-        const double ts =
-            median_time_s([&] { return rn::ag::matmul(a, b); }, 5);
-        kern::set_kernel_backend(kern::Backend::kAvx2);
-        const double tv =
-            median_time_s([&] { return rn::ag::matmul(a, b); }, 5);
-        ratios.push_back(tv > 0.0 ? ts / tv : 0.0);
+      const struct {
+        const char* name;
+        std::function<Tensor()> run;
+        double* speedup;
+      } gated[] = {
+          {"nn", [&] { return rn::ag::matmul(a, b); }, &shape.nn_speedup},
+          {"tn", [&] { return rn::ag::matmul_tn(at, b); },
+           &shape.tn_speedup},
+          {"nt", [&] { return rn::ag::matmul_nt(a, bt); },
+           &shape.nt_speedup},
+      };
+      for (const auto& g : gated) {
+        *g.speedup = paired_avx2_speedup(g.run);
+        std::printf("  %4dx%2dx%2d avx2/scalar %s speedup: %.2fx%s\n",
+                    shape.m, shape.k, shape.n, g.name, *g.speedup,
+                    *g.speedup < 1.5 ? "  <-- BELOW 1.5x" : "");
+        if (*g.speedup < 1.5) ++violations;
       }
-      std::sort(ratios.begin(), ratios.end());
-      const double speedup = ratios[ratios.size() / 2];
-      shape.nn_speedup = speedup;
-      std::printf("  %4dx%2dx%2d avx2/scalar nn speedup: %.2fx%s\n", shape.m,
-                  shape.k, shape.n, speedup,
-                  speedup < 1.5 ? "  <-- BELOW 1.5x" : "");
-      if (speedup < 1.5) ++violations;
     }
   }
 
@@ -463,7 +482,11 @@ int run_backend_report() {
         }
         if (shape.nn_speedup > 0.0) {
           out << ",\"avx2_nn_speedup\":"
-              << rn::obs::json_number(shape.nn_speedup);
+              << rn::obs::json_number(shape.nn_speedup)
+              << ",\"avx2_tn_speedup\":"
+              << rn::obs::json_number(shape.tn_speedup)
+              << ",\"avx2_nt_speedup\":"
+              << rn::obs::json_number(shape.nt_speedup);
         }
         out << "}";
       }

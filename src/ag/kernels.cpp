@@ -12,29 +12,7 @@
 
 #include "util/check.h"
 
-namespace rn::ag {
-
-namespace {
-
-// matmul_nt tiles B's rows only when B outgrows this many elements (default
-// 64k floats = 256 KiB, a conservative L2 slice): below it the whole B panel
-// is cache-resident anyway and the untiled loops win. Both shapes accumulate
-// each c[i][j] as one ascending-p dot product, so the choice never changes
-// results.
-std::atomic<long long> g_nt_tile_min_elems{1LL << 16};
-
-}  // namespace
-
-long long matmul_nt_tile_threshold() {
-  return g_nt_tile_min_elems.load(std::memory_order_relaxed);
-}
-
-void set_matmul_nt_tile_threshold(long long b_elems) {
-  g_nt_tile_min_elems.store(std::max(0LL, b_elems),
-                            std::memory_order_relaxed);
-}
-
-namespace kern {
+namespace rn::ag::kern {
 
 #if defined(RN_HAVE_AVX2_TU)
 // Defined in kernels_avx2.cpp (compiled with -mavx2 -mfma); only safe to
@@ -118,37 +96,14 @@ void scalar_matmul_nt_block(const float* __restrict__ a,
                             const float* __restrict__ b,
                             float* __restrict__ c, int r0, int r1, int k,
                             int n) {
-  // Profitability gate: each c[i][j] is a single ascending-p dot product in
-  // either shape, so falling back is bitwise free — and when B fits in
-  // cache the j-tiling only re-runs loop bookkeeping per 32-column strip.
-  if (static_cast<long long>(k) * n <
-      g_nt_tile_min_elems.load(std::memory_order_relaxed)) {
-    for (int i = r0; i < r1; ++i) {
-      const float* arow = a + static_cast<std::size_t>(i) * k;
-      float* crow = c + static_cast<std::size_t>(i) * n;
-      for (int j = 0; j < n; ++j) {
-        const float* brow = b + static_cast<std::size_t>(j) * k;
-        float acc = 0.0f;
-        for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
-        crow[j] += acc;
-      }
-    }
-    return;
-  }
-  for (int ib = r0; ib < r1; ib += kTileRows) {
-    const int iend = std::min(r1, ib + kTileRows);
-    for (int jb = 0; jb < n; jb += kTileRows) {
-      const int jend = std::min(n, jb + kTileRows);
-      for (int i = ib; i < iend; ++i) {
-        const float* arow = a + static_cast<std::size_t>(i) * k;
-        float* crow = c + static_cast<std::size_t>(i) * n;
-        for (int j = jb; j < jend; ++j) {
-          const float* brow = b + static_cast<std::size_t>(j) * k;
-          float acc = 0.0f;
-          for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
-          crow[j] += acc;
-        }
-      }
+  for (int i = r0; i < r1; ++i) {
+    const float* arow = a + static_cast<std::size_t>(i) * k;
+    float* crow = c + static_cast<std::size_t>(i) * n;
+    for (int j = 0; j < n; ++j) {
+      const float* brow = b + static_cast<std::size_t>(j) * k;
+      float acc = 0.0f;
+      for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
+      crow[j] += acc;
     }
   }
 }
@@ -385,5 +340,4 @@ void tanh_inplace(float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
 }
 
-}  // namespace kern
-}  // namespace rn::ag
+}  // namespace rn::ag::kern

@@ -7,7 +7,11 @@
 //   avx2    — 8-wide AVX2 using separate multiply and add instructions in
 //             the same per-element accumulation order (and the same
 //             zero-entry skips) as the scalar loops, so results are bitwise
-//             identical to scalar. The default wherever the CPU supports it.
+//             identical to scalar. The matmuls hold up to 32 columns of
+//             C per row in registers (two rows at a time for tn and nt);
+//             matmul_nt reads B through a transposed per-thread panel and
+//             matmul_tn walks B in L1-sized row panels. The default
+//             wherever the CPU supports it.
 //   avx2fma — AVX2 + FMA with reassociated reductions (matmul_nt runs an
 //             8-lane partial-sum dot product). Fastest, but fused rounding
 //             and reassociation make results diverge from scalar by a few

@@ -6,9 +6,13 @@
 // Bitwise contract (avx2 table): every kernel performs the exact same
 // per-element arithmetic sequence as the scalar reference — same ascending
 // accumulation order, separate _mm256_mul_ps + _mm256_add_ps (never fused),
-// and the same `av == 0.0f` skip in the matmul row loops. Vectorizing over
-// the output column axis is safe because each output element's operation
-// chain is untouched; only independent elements are packed into one vector.
+// the same `av == 0.0f` skip in the nn and tn loops, and nt's
+// start-from-zero dot product with no skip. Vectorizing over the output
+// column axis is safe because each output element's operation chain is
+// untouched; only independent elements are packed into one vector. That is
+// why nt first transposes B into a per-thread panel — its dot products run
+// along B's rows, and the panel makes them contiguous vector lanes — and
+// why tn walks B in L1-sized row panels rather than reassociating anything.
 // Remainder columns run the scalar loop verbatim.
 //
 // The avx2fma table swaps the three matmul kernels for fused-multiply-add
@@ -20,6 +24,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <vector>
 
 #include "ag/kernels.h"
 
@@ -29,27 +34,25 @@ namespace {
 
 // --- avx2: bitwise-identical matmuls --------------------------------------
 //
-// Both row-major matmuls are register-blocked: a tile of up to 32 output
-// columns accumulates in four ymm registers across the entire ascending-p
-// loop, then stores once. Per output element the arithmetic sequence is
-// unchanged from scalar (one mul, one add per non-zero a[i][p], ascending
-// p) — holding the accumulator in a register instead of round-tripping
-// through C memory does not change any rounding, it just removes the
-// store-to-load chain that capped the memory-accumulating version at
-// scalar speed.
+// All three matmuls are register-blocked: a tile of output elements
+// accumulates in ymm registers across its whole p range, then stores once.
+// Per output element the arithmetic sequence is unchanged from scalar (one
+// mul, one add per p, ascending p, the same zero skips) — holding the
+// accumulator in a register instead of round-tripping through C memory does
+// not change any rounding, it just removes the store-to-load chain that
+// capped the memory-accumulating loops at scalar speed.
 
-// One (i, j-tile) accumulation over the full p range. Scalar reads
-// a[i][p] at stride `astride` (1 for nn where a is row-major, m for tn
-// where a is transposed).
+// nn: one (i, j-tile) accumulation over the full p range, skipping
+// a[i][p] == 0 like scalar.
 template <int Tiles>
-inline void accum_col_tile(const float* acol, std::size_t astride,
-                           const float* b, float* crow, int j, int k, int n) {
+inline void accum_col_tile(const float* arow, const float* b, float* crow,
+                           int j, int k, int n) {
   __m256 acc[Tiles];
   for (int t = 0; t < Tiles; ++t) {
     acc[t] = _mm256_loadu_ps(crow + j + 8 * t);
   }
   for (int p = 0; p < k; ++p) {
-    const float av = acol[static_cast<std::size_t>(p) * astride];
+    const float av = arow[p];
     if (av == 0.0f) continue;
     const float* brow = b + static_cast<std::size_t>(p) * n + j;
     const __m256 av8 = _mm256_set1_ps(av);
@@ -63,16 +66,16 @@ inline void accum_col_tile(const float* acol, std::size_t astride,
   }
 }
 
-// Shared by nn and tn: walk one output row, tiling columns 32/8/scalar.
-inline void matmul_row_avx2(const float* acol, std::size_t astride,
-                            const float* b, float* crow, int k, int n) {
+// nn: walk one output row, tiling columns 32/8/scalar.
+inline void matmul_row_avx2(const float* arow, const float* b, float* crow,
+                            int k, int n) {
   int j = 0;
-  for (; j + 32 <= n; j += 32) accum_col_tile<4>(acol, astride, b, crow, j, k, n);
-  for (; j + 8 <= n; j += 8) accum_col_tile<1>(acol, astride, b, crow, j, k, n);
+  for (; j + 32 <= n; j += 32) accum_col_tile<4>(arow, b, crow, j, k, n);
+  for (; j + 8 <= n; j += 8) accum_col_tile<1>(arow, b, crow, j, k, n);
   for (; j < n; ++j) {
     float acc = crow[j];
     for (int p = 0; p < k; ++p) {
-      const float av = acol[static_cast<std::size_t>(p) * astride];
+      const float av = arow[p];
       if (av == 0.0f) continue;
       acc += av * b[static_cast<std::size_t>(p) * n + j];
     }
@@ -83,49 +86,179 @@ inline void matmul_row_avx2(const float* acol, std::size_t astride,
 void avx2_matmul_block(const float* a, const float* b, float* c, int r0,
                        int r1, int k, int n) {
   for (int i = r0; i < r1; ++i) {
-    matmul_row_avx2(a + static_cast<std::size_t>(i) * k, 1, b,
+    matmul_row_avx2(a + static_cast<std::size_t>(i) * k, b,
                     c + static_cast<std::size_t>(i) * n, k, n);
+  }
+}
+
+// tn: c[i][j] += a[p][i] * b[p][j] over ascending p, skipping a[p][i] == 0.
+// B is the tall operand (k = thousands of path/link rows in backward), so
+// p runs in panels of kTnPanel rows of B — 16 KiB at 32 columns — that stay
+// L1-resident while every output-row pair of the block walks them. A tile
+// of Rows output rows × 8·Tiles columns loads its C accumulators once per
+// panel and stores them back at the panel's end: a float round-trip through
+// memory is exact, so splitting p into panels changes no rounding.
+constexpr int kTnPanel = 128;
+
+template <int Rows, int Tiles>
+inline void tn_tile(const float* a, const float* b, float* c, int i, int j,
+                    int p0, int p1, int m, int n) {
+  __m256 acc[Rows][Tiles];
+  for (int r = 0; r < Rows; ++r) {
+    for (int t = 0; t < Tiles; ++t) {
+      acc[r][t] =
+          _mm256_loadu_ps(c + static_cast<std::size_t>(i + r) * n + j + 8 * t);
+    }
+  }
+  for (int p = p0; p < p1; ++p) {
+    const float* acol = a + static_cast<std::size_t>(p) * m + i;
+    const float* brow = b + static_cast<std::size_t>(p) * n + j;
+    __m256 bv[Tiles];
+    for (int t = 0; t < Tiles; ++t) bv[t] = _mm256_loadu_ps(brow + 8 * t);
+    for (int r = 0; r < Rows; ++r) {
+      const float av = acol[r];
+      if (av == 0.0f) continue;
+      const __m256 av8 = _mm256_set1_ps(av);
+      for (int t = 0; t < Tiles; ++t) {
+        acc[r][t] = _mm256_add_ps(acc[r][t], _mm256_mul_ps(av8, bv[t]));
+      }
+    }
+  }
+  for (int r = 0; r < Rows; ++r) {
+    for (int t = 0; t < Tiles; ++t) {
+      _mm256_storeu_ps(c + static_cast<std::size_t>(i + r) * n + j + 8 * t,
+                       acc[r][t]);
+    }
+  }
+}
+
+// Rows output rows over one p panel: columns in 32/16/8-wide tiles, the
+// ragged tail in the scalar loop verbatim.
+template <int Rows>
+inline void tn_rows(const float* a, const float* b, float* c, int i, int p0,
+                    int p1, int m, int n) {
+  int j = 0;
+  for (; j + 32 <= n; j += 32) tn_tile<Rows, 4>(a, b, c, i, j, p0, p1, m, n);
+  if (j + 16 <= n) {
+    tn_tile<Rows, 2>(a, b, c, i, j, p0, p1, m, n);
+    j += 16;
+  }
+  if (j + 8 <= n) {
+    tn_tile<Rows, 1>(a, b, c, i, j, p0, p1, m, n);
+    j += 8;
+  }
+  for (int r = 0; r < Rows; ++r) {
+    float* crow = c + static_cast<std::size_t>(i + r) * n;
+    for (int jj = j; jj < n; ++jj) {
+      float acc = crow[jj];
+      for (int p = p0; p < p1; ++p) {
+        const float av = a[static_cast<std::size_t>(p) * m + i + r];
+        if (av == 0.0f) continue;
+        acc += av * b[static_cast<std::size_t>(p) * n + jj];
+      }
+      crow[jj] = acc;
+    }
   }
 }
 
 void avx2_matmul_tn_block(const float* a, const float* b, float* c, int r0,
                           int r1, int m, int k, int n) {
-  for (int i = r0; i < r1; ++i) {
-    matmul_row_avx2(a + i, static_cast<std::size_t>(m), b,
-                    c + static_cast<std::size_t>(i) * n, k, n);
+  for (int p0 = 0; p0 < k; p0 += kTnPanel) {
+    const int p1 = std::min(k, p0 + kTnPanel);
+    int i = r0;
+    for (; i + 2 <= r1; i += 2) tn_rows<2>(a, b, c, i, p0, p1, m, n);
+    if (i < r1) tn_rows<1>(a, b, c, i, p0, p1, m, n);
   }
 }
 
-// Lane-per-output-column: 8 adjacent columns of C accumulate in parallel,
-// each lane running its own ascending-p dot product in scalar order (one
-// mul, one add per p). The B elements for the 8 columns at a given p sit a
-// row-stride (k floats) apart, fetched with a strided gather.
-void avx2_matmul_nt_block(const float* a, const float* b, float* c, int r0,
-                          int r1, int k, int n) {
-  const int n8 = n & ~7;
-  const __m256i stride =
-      _mm256_mullo_epi32(_mm256_set1_epi32(k),
-                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  for (int i = r0; i < r1; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * k;
-    float* crow = c + static_cast<std::size_t>(i) * n;
-    int j = 0;
-    for (; j < n8; j += 8) {
-      const float* bbase = b + static_cast<std::size_t>(j) * k;
-      __m256 acc = _mm256_setzero_ps();
-      for (int p = 0; p < k; ++p) {
-        const __m256 bv =
-            _mm256_i32gather_ps(bbase + p, stride, sizeof(float));
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(arow[p]), bv));
+// nt: c[i][j] += Σ_p a[i][p] * b[j][p], each dot product starting from
+// 0.0f over ascending p with one mul and one add per p and no zero skip,
+// added into C at the end. B's rows are the dot-product operands, so a
+// strip of up to kNtStrip of them is transposed once into a k × kNtStrip
+// panel (per-thread scratch; 4 KiB for RouteNet's 32×32 weights): column j
+// of C becomes lane j of a contiguous vector and Rows × 8·Tiles dot
+// products run side by side in registers.
+constexpr int kNtStrip = 32;
+
+template <int Rows, int Tiles>
+inline void nt_tile(const float* a, const float* panel, float* c, int i,
+                    int jp, int j, int k, int n) {
+  __m256 acc[Rows][Tiles];
+  for (int r = 0; r < Rows; ++r) {
+    for (int t = 0; t < Tiles; ++t) acc[r][t] = _mm256_setzero_ps();
+  }
+  const float* arow = a + static_cast<std::size_t>(i) * k;
+  for (int p = 0; p < k; ++p) {
+    const float* prow = panel + static_cast<std::size_t>(p) * kNtStrip + jp;
+    __m256 bv[Tiles];
+    for (int t = 0; t < Tiles; ++t) bv[t] = _mm256_loadu_ps(prow + 8 * t);
+    for (int r = 0; r < Rows; ++r) {
+      const __m256 av8 =
+          _mm256_set1_ps(arow[static_cast<std::size_t>(r) * k + p]);
+      for (int t = 0; t < Tiles; ++t) {
+        acc[r][t] = _mm256_add_ps(acc[r][t], _mm256_mul_ps(av8, bv[t]));
       }
-      _mm256_storeu_ps(crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j), acc));
     }
-    for (; j < n; ++j) {
+  }
+  for (int r = 0; r < Rows; ++r) {
+    float* cp = c + static_cast<std::size_t>(i + r) * n + j;
+    for (int t = 0; t < Tiles; ++t) {
+      _mm256_storeu_ps(cp + 8 * t,
+                       _mm256_add_ps(_mm256_loadu_ps(cp + 8 * t), acc[r][t]));
+    }
+  }
+}
+
+// Rows output rows × the strip's columns [j0, j0 + w): 32/16/8-wide tiles
+// from the panel, the ragged tail as scalar dot products over B's rows.
+template <int Rows>
+inline void nt_rows(const float* a, const float* b, const float* panel,
+                    float* c, int i, int j0, int w, int k, int n) {
+  int jp = 0;
+  if (jp + 32 <= w) {
+    nt_tile<Rows, 4>(a, panel, c, i, jp, j0 + jp, k, n);
+    jp += 32;
+  }
+  if (jp + 16 <= w) {
+    nt_tile<Rows, 2>(a, panel, c, i, jp, j0 + jp, k, n);
+    jp += 16;
+  }
+  if (jp + 8 <= w) {
+    nt_tile<Rows, 1>(a, panel, c, i, jp, j0 + jp, k, n);
+    jp += 8;
+  }
+  for (int r = 0; r < Rows; ++r) {
+    const float* arow = a + static_cast<std::size_t>(i + r) * k;
+    float* crow = c + static_cast<std::size_t>(i + r) * n;
+    for (int j = j0 + jp; j < j0 + w; ++j) {
       const float* brow = b + static_cast<std::size_t>(j) * k;
       float acc = 0.0f;
       for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
       crow[j] += acc;
     }
+  }
+}
+
+void avx2_matmul_nt_block(const float* a, const float* b, float* c, int r0,
+                          int r1, int k, int n) {
+  // Grows to the largest k seen on this thread, then is reused: no
+  // steady-state allocation.
+  thread_local std::vector<float> panel;
+  const std::size_t panel_size = static_cast<std::size_t>(k) * kNtStrip;
+  if (panel.size() < panel_size) panel.resize(panel_size);
+  for (int j0 = 0; j0 < n; j0 += kNtStrip) {
+    const int w = std::min(kNtStrip, n - j0);
+    // Only the vector lanes come from the panel; the scalar tail reads B.
+    const int wv = w & ~7;
+    for (int jj = 0; jj < wv; ++jj) {
+      const float* brow = b + static_cast<std::size_t>(j0 + jj) * k;
+      for (int p = 0; p < k; ++p) {
+        panel[static_cast<std::size_t>(p) * kNtStrip + jj] = brow[p];
+      }
+    }
+    int i = r0;
+    for (; i + 2 <= r1; i += 2) nt_rows<2>(a, b, panel.data(), c, i, j0, w, k, n);
+    if (i < r1) nt_rows<1>(a, b, panel.data(), c, i, j0, w, k, n);
   }
 }
 

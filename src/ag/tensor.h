@@ -137,13 +137,4 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 long long matmul_parallel_threshold();
 void set_matmul_parallel_threshold(long long macs);
 
-// B element count (k*n) below which matmul_nt skips its column tiling and
-// runs the plain dot-product loops: when all of B stays cache-resident the
-// tile bookkeeping is pure overhead (the 0.95x regression vs the naive
-// kernel on RouteNet-sized operands). Both shapes accumulate each c[i][j]
-// as one ascending-p dot product, so the choice never changes results.
-// Tests move the threshold to pin either path on small matrices.
-long long matmul_nt_tile_threshold();
-void set_matmul_nt_tile_threshold(long long b_elems);
-
 }  // namespace rn::ag

@@ -40,13 +40,28 @@ ModelRegistry::ModelRegistry(ServerConfig server_cfg)
     : server_cfg_(server_cfg), deadline_s_(server_cfg.batch_deadline_s) {
   RN_CHECK(server_cfg_.batch_deadline_s >= 0.0,
            "batch deadline must be >= 0");
-  snapshot_.store(std::make_shared<const Snapshot>());
+  snapshot_ = std::make_shared<const Snapshot>();
 }
 
 ModelRegistry::~ModelRegistry() {
   // Dropping the snapshot drains every entry still owned solely by the
   // registry; handles held elsewhere drain when their owners let go.
-  snapshot_.store(std::make_shared<const Snapshot>());
+  store_snapshot(std::make_shared<const Snapshot>());
+}
+
+std::shared_ptr<const ModelRegistry::Snapshot> ModelRegistry::load_snapshot()
+    const {
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  return snapshot_;
+}
+
+void ModelRegistry::store_snapshot(std::shared_ptr<const Snapshot> next) {
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    snapshot_.swap(next);
+  }
+  // `next` now holds the previous snapshot. Dropping it may drain and join
+  // an entry's server, so that happens after the lock is released.
 }
 
 std::uint64_t ModelRegistry::swap_in(const std::string& name,
@@ -60,7 +75,7 @@ std::uint64_t ModelRegistry::swap_in(const std::string& name,
   const std::size_t params = model->num_parameters();
 
   std::lock_guard<std::mutex> lock(mu_);
-  const std::shared_ptr<const Snapshot> old = snapshot_.load();
+  const std::shared_ptr<const Snapshot> old = load_snapshot();
   std::uint64_t version = 1;
   if (const auto it = old->find(name); it != old->end()) {
     version = it->second->version() + 1;
@@ -71,9 +86,10 @@ std::uint64_t ModelRegistry::swap_in(const std::string& name,
                                        version, cfg);
   auto next = std::make_shared<Snapshot>(*old);
   (*next)[name] = std::move(entry);
-  snapshot_.store(std::shared_ptr<const Snapshot>(std::move(next)));
+  const std::size_t models = next->size();
+  store_snapshot(std::move(next));
 
-  metrics().models.set(static_cast<double>(snapshot_.load()->size()));
+  metrics().models.set(static_cast<double>(models));
   metrics().loads.add();
   if (obs::EventSink::global().enabled()) {
     obs::Event ev("serve.registry.swap");
@@ -111,16 +127,17 @@ std::uint64_t ModelRegistry::reload(const std::string& name) {
 
 void ModelRegistry::remove(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::shared_ptr<const Snapshot> old = snapshot_.load();
+  const std::shared_ptr<const Snapshot> old = load_snapshot();
   if (old->find(name) == old->end()) throw UnknownModelError(name);
   auto next = std::make_shared<Snapshot>(*old);
   next->erase(name);
-  snapshot_.store(std::shared_ptr<const Snapshot>(std::move(next)));
-  metrics().models.set(static_cast<double>(snapshot_.load()->size()));
+  const std::size_t models = next->size();
+  store_snapshot(std::move(next));
+  metrics().models.set(static_cast<double>(models));
 }
 
 ModelRegistry::Handle ModelRegistry::acquire(const std::string& name) const {
-  const std::shared_ptr<const Snapshot> snap = snapshot_.load();
+  const std::shared_ptr<const Snapshot> snap = load_snapshot();
   const auto it = snap->find(name);
   if (it == snap->end()) {
     metrics().misses.add();
@@ -130,7 +147,7 @@ ModelRegistry::Handle ModelRegistry::acquire(const std::string& name) const {
 }
 
 std::vector<ModelRegistry::ModelInfo> ModelRegistry::list() const {
-  const std::shared_ptr<const Snapshot> snap = snapshot_.load();
+  const std::shared_ptr<const Snapshot> snap = load_snapshot();
   std::vector<ModelInfo> out;
   out.reserve(snap->size());
   for (const auto& [name, entry] : *snap) {
@@ -140,12 +157,12 @@ std::vector<ModelRegistry::ModelInfo> ModelRegistry::list() const {
   return out;
 }
 
-std::size_t ModelRegistry::size() const { return snapshot_.load()->size(); }
+std::size_t ModelRegistry::size() const { return load_snapshot()->size(); }
 
 void ModelRegistry::set_batch_deadline(double seconds) {
   RN_CHECK(seconds >= 0.0, "batch deadline must be >= 0");
   deadline_s_.store(seconds, std::memory_order_relaxed);
-  const std::shared_ptr<const Snapshot> snap = snapshot_.load();
+  const std::shared_ptr<const Snapshot> snap = load_snapshot();
   for (const auto& [name, entry] : *snap) {
     entry->server().set_batch_deadline(seconds);
   }

@@ -2,12 +2,12 @@
 //
 // A ModelRegistry routes requests by model name across several loaded
 // RouteNets, each fronted by its own micro-batching InferenceServer. The
-// name → model map lives behind an atomic shared_ptr snapshot, so lookups
-// are one atomic load and hot reload follows the temp+rename checkpoint
-// discipline translated to memory: load the new model off to the side,
-// validate it (RouteNet::load checks the RNMODEL4 container's length and
-// CRC-32 and the parameter shapes; install() re-counts parameters), then
-// swap the snapshot pointer in one atomic store. A corrupted or torn file
+// name → model map lives behind a shared_ptr snapshot, so a lookup copies
+// one pointer under a mutex held for nothing else, and hot reload follows
+// the temp+rename checkpoint discipline translated to memory: load the new
+// model off to the side, validate it (RouteNet::load checks the RNMODEL4
+// container's length and CRC-32 and the parameter shapes; install()
+// re-counts parameters), then swap the snapshot pointer in one step. A corrupted or torn file
 // therefore fails the load and the old entry keeps serving (model_fuzz_test
 // proves it). Readers that grabbed the old snapshot — or hold an
 // Entry handle — finish their in-flight requests on the old model; the old
@@ -99,7 +99,7 @@ class ModelRegistry {
   // Removes `name` from the snapshot; in-flight handles keep serving.
   void remove(const std::string& name);
 
-  // Snapshot lookup: one atomic load + one shared_ptr copy. Throws
+  // Snapshot lookup: one shared_ptr copy under snapshot_mu_. Throws
   // UnknownModelError for absent names.
   Handle acquire(const std::string& name) const;
 
@@ -123,12 +123,18 @@ class ModelRegistry {
 
   std::uint64_t swap_in(const std::string& name, const std::string& source,
                         std::unique_ptr<core::RouteNet> model);
+  std::shared_ptr<const Snapshot> load_snapshot() const;
+  void store_snapshot(std::shared_ptr<const Snapshot> next);
 
   ServerConfig server_cfg_;
-  // Writers serialize on mu_ (copy map → mutate → atomic store); readers
-  // never take it.
+  // Writers serialize on mu_ (copy map → mutate → store); readers never
+  // take it. snapshot_mu_ guards only the copy or swap of the snapshot
+  // pointer itself — a plain mutex rather than std::atomic<shared_ptr>,
+  // whose libstdc++ 12 load releases its lock bit with a relaxed store and
+  // so races with the next store under TSan.
   mutable std::mutex mu_;
-  std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<const Snapshot> snapshot_;
   std::atomic<double> deadline_s_;
 };
 

@@ -126,6 +126,120 @@ TEST_F(KernelsAvx2Test, ZeroSkipSuppressesInfTimesZeroExactlyLikeScalar) {
   EXPECT_TRUE(bitwise_equal(cs, cv));
 }
 
+// The avx2 tn walks k in 128-row panels of B and pairs output rows; nt
+// transposes B in 32-row strips and pairs output rows too. Shapes run k
+// past one and several panels (with n a multiple of 8 and of 32) and
+// ragged strips; row ranges cover both parities so the pairing leaves a
+// remainder row, and start at 1 as the parallel chunks do.
+TEST_F(KernelsAvx2Test, TnAndNtBitwiseEqualAcrossPanelsAndRowRanges) {
+  const kern::Ops& scalar = kern::ops(kern::Backend::kScalar);
+  const kern::Ops& avx2 = kern::ops(kern::Backend::kAvx2);
+  const Shape shapes[] = {{7, 300, 32}, {3, 513, 64}, {6, 129, 16},
+                          {9, 256, 40}, {5, 37, 75},  {4, 128, 8}};
+  for (const Shape& s : shapes) {
+    const auto a = random_data(static_cast<std::size_t>(s.m) * s.k, 21);
+    const auto at = random_data(static_cast<std::size_t>(s.k) * s.m, 22);
+    const auto b = random_data(static_cast<std::size_t>(s.k) * s.n, 23);
+    const auto bt = random_data(static_cast<std::size_t>(s.n) * s.k, 24);
+    const auto c0 = random_data(static_cast<std::size_t>(s.m) * s.n, 25);
+    for (const int r0 : {0, 1}) {
+      for (const int r1 : {s.m - 1, s.m}) {
+        if (r0 >= r1) continue;
+        auto cs = c0, cv = c0;
+        scalar.matmul_tn_block(at.data(), b.data(), cs.data(), r0, r1, s.m,
+                               s.k, s.n);
+        avx2.matmul_tn_block(at.data(), b.data(), cv.data(), r0, r1, s.m,
+                             s.k, s.n);
+        EXPECT_TRUE(bitwise_equal(cs, cv))
+            << "matmul_tn " << s.m << "x" << s.k << "x" << s.n << " rows ["
+            << r0 << ", " << r1 << ")";
+
+        cs = c0;
+        cv = c0;
+        scalar.matmul_nt_block(a.data(), bt.data(), cs.data(), r0, r1, s.k,
+                               s.n);
+        avx2.matmul_nt_block(a.data(), bt.data(), cv.data(), r0, r1, s.k,
+                             s.n);
+        EXPECT_TRUE(bitwise_equal(cs, cv))
+            << "matmul_nt " << s.m << "x" << s.k << "x" << s.n << " rows ["
+            << r0 << ", " << r1 << ")";
+      }
+    }
+  }
+}
+
+TEST_F(KernelsAvx2Test, NtHasNoZeroSkipSoInfTimesZeroIsNanLikeScalar) {
+  // nt never skips zero entries: 0 * Inf must become NaN in both backends,
+  // and ±0 * NaN must propagate the NaN. Each B row holds exactly one
+  // special value, so every output element's chain sees at most one NaN
+  // and its payload cannot depend on operand order. n = 43 covers a
+  // 32-wide tile, an 8-wide tile and a 3-column scalar tail.
+  const int m = 5, k = 19, n = 43;
+  auto a = random_data(static_cast<std::size_t>(m) * k, 26);
+  auto bt = random_data(static_cast<std::size_t>(n) * k, 27);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (int j = 0; j < n; ++j) {
+    const float special = (j % 3 == 0) ? nan : (j % 3 == 1) ? inf : -inf;
+    bt[static_cast<std::size_t>(j) * k + static_cast<std::size_t>(j % k)] =
+        special;
+  }
+  for (int i = 0; i < m; ++i) {
+    for (int p = 0; p < k; p += 2) {
+      a[static_cast<std::size_t>(i) * k + static_cast<std::size_t>(p)] =
+          ((i + p) % 4 == 0) ? 0.0f : -0.0f;
+    }
+  }
+  for (const int r0 : {0, 1}) {
+    const auto c0 = random_data(static_cast<std::size_t>(m) * n, 28);
+    auto cs = c0, cv = c0;
+    kern::ops(kern::Backend::kScalar)
+        .matmul_nt_block(a.data(), bt.data(), cs.data(), r0, m, k, n);
+    kern::ops(kern::Backend::kAvx2)
+        .matmul_nt_block(a.data(), bt.data(), cv.data(), r0, m, k, n);
+    int nans = 0;
+    for (const float v : cs) nans += std::isnan(v) ? 1 : 0;
+    EXPECT_GT(nans, 0) << "the fixture must reach 0 * Inf";
+    EXPECT_TRUE(bitwise_equal(cs, cv)) << "rows [" << r0 << ", " << m << ")";
+  }
+}
+
+TEST_F(KernelsAvx2Test, TnSkipsNegativeZeroEntriesOfAExactlyLikeScalar) {
+  // -0.0f == 0.0f, so tn skips it: no -0 * Inf NaN appears, and a C entry
+  // of -0.0f stays -0.0f rather than becoming -0 + (-0 * b). Column 0 of
+  // C's rows (row i of aᵀ) sees only -0.0f; others mix -0.0f with data.
+  const int m = 5, k = 300, n = 40;
+  auto at = random_data(static_cast<std::size_t>(k) * m, 29);
+  auto b = random_data(static_cast<std::size_t>(k) * n, 30);
+  for (int p = 0; p < k; ++p) {
+    at[static_cast<std::size_t>(p) * m] = -0.0f;
+    if (p % 7 == 0) {
+      for (int i = 1; i < m; ++i) {
+        at[static_cast<std::size_t>(p) * m + static_cast<std::size_t>(i)] =
+            -0.0f;
+      }
+      for (int j = 0; j < n; ++j) {
+        b[static_cast<std::size_t>(p) * n + static_cast<std::size_t>(j)] =
+            (j % 2 == 0) ? std::numeric_limits<float>::infinity()
+                         : -std::numeric_limits<float>::infinity();
+      }
+    }
+  }
+  const std::vector<float> c0(static_cast<std::size_t>(m) * n, -0.0f);
+  auto cs = c0, cv = c0;
+  kern::ops(kern::Backend::kScalar)
+      .matmul_tn_block(at.data(), b.data(), cs.data(), 0, m, m, k, n);
+  kern::ops(kern::Backend::kAvx2)
+      .matmul_tn_block(at.data(), b.data(), cv.data(), 0, m, m, k, n);
+  for (const float v : cs) EXPECT_FALSE(std::isnan(v));
+  for (int j = 0; j < n; ++j) {
+    EXPECT_TRUE(std::signbit(cs[static_cast<std::size_t>(j)]) &&
+                cs[static_cast<std::size_t>(j)] == 0.0f)
+        << "all-(-0) row must leave C's -0.0f untouched, column " << j;
+  }
+  EXPECT_TRUE(bitwise_equal(cs, cv));
+}
+
 TEST_F(KernelsAvx2Test, RowIndexOpsBitwiseEqualWithDuplicateIndices) {
   const kern::Ops& scalar = kern::ops(kern::Backend::kScalar);
   const kern::Ops& avx2 = kern::ops(kern::Backend::kAvx2);

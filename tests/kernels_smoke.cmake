@@ -1,7 +1,8 @@
 # Kernel-bench smoke test (ctest -R kernels_smoke): runs bench/matmul_kernels
 # twice at the seconds-scale "smoke" tier with RN_BENCH_ENFORCE=1 — so the
 # blocked-vs-naive guard, the avx2-vs-scalar bitwise check, and (where avx2
-# exists) the >=1.5x speedup gate are all load-bearing — then drives
+# exists) the >=1.5x speedup gates on nn, tn and nt are all load-bearing —
+# then drives
 # `routenet obs diff` over the resulting BENCH_kernels.json reports: rc 0 on
 # an identical pair, rc 1 on a doctored copy with cratered GFLOP/s, rc <= 1
 # run-to-run (timing jitter may legitimately gate). Invoked with

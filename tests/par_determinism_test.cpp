@@ -221,20 +221,12 @@ TEST(ParDeterminism, MatmulBitwiseEqualToUnblockedReference) {
   const ag::Tensor ref_nt = reference_matmul_nt(a, bt);
 
   const long long saved = ag::matmul_parallel_threshold();
-  const long long saved_nt = ag::matmul_nt_tile_threshold();
   for (const int threads : {1, 4}) {
     ag::set_matmul_parallel_threshold(threads == 1 ? saved : 0);
     par::set_global_threads(threads);
     expect_bitwise_equal(ref, ag::matmul(a, b), "nn", threads);
     expect_bitwise_equal(ref_tn, ag::matmul_tn(at, b), "tn", threads);
-    // nt has two shapes — the untiled small-B fallback and the j-tiled
-    // panel kernel; pin each via the threshold and demand bitwise equality
-    // from both.
-    ag::set_matmul_nt_tile_threshold(1LL << 62);  // always fallback
-    expect_bitwise_equal(ref_nt, ag::matmul_nt(a, bt), "nt-naive", threads);
-    ag::set_matmul_nt_tile_threshold(0);  // always tiled
-    expect_bitwise_equal(ref_nt, ag::matmul_nt(a, bt), "nt-tiled", threads);
-    ag::set_matmul_nt_tile_threshold(saved_nt);
+    expect_bitwise_equal(ref_nt, ag::matmul_nt(a, bt), "nt", threads);
   }
   ag::set_matmul_parallel_threshold(saved);
   par::set_global_threads(1);
